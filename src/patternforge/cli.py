@@ -42,6 +42,17 @@ def _pattern(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Patte
         raise AssertionError  # unreachable
 
 
+def _count(text: str) -> int:
+    """argparse type for a count of ones or levels: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_pattern_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--j", type=int, required=True, help="rise count of the forbidden factor")
     sub.add_argument("--i", type=int, required=True, help="fall count of the forbidden factor")
@@ -91,7 +102,8 @@ def cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 def cmd_rule(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     try:
-        text = open(args.file, encoding="utf-8").read()
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         parser.error(str(exc))
     try:
@@ -142,7 +154,10 @@ def cmd_render(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     word = args.word
     if set(word) - {"0", "1"}:
         parser.error(f"word must be over 0/1, got {word!r}")
-    spans = tuple(int(s) for s in args.spans.split(",")) if args.spans else ()
+    try:
+        spans = tuple(int(s) for s in args.spans.split(",")) if args.spans else ()
+    except ValueError:
+        parser.error(f"--spans must be comma-separated integers, got {args.spans!r}")
     if args.j is not None and args.i is not None:
         pattern = _pattern(parser, args)
         try:
@@ -175,26 +190,26 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("generate", help="emit surviving words per level")
     _add_pattern_flags(p)
-    p.add_argument("--max-ones", type=int, required=True)
+    p.add_argument("--max-ones", type=_count, required=True)
     p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
     p.add_argument("--cancel-nodes", action="store_true")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("verify", help="differential check against the oracles")
     _add_pattern_flags(p)
-    p.add_argument("--max-ones", type=int, required=True)
+    p.add_argument("--max-ones", type=_count, required=True)
     p.add_argument("--cancel-nodes", action="store_true")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("count", help="oracle counts by fall count")
     _add_pattern_flags(p)
-    p.add_argument("--ones", type=int, required=True)
+    p.add_argument("--ones", type=_count, required=True)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("rule", help="expand a succession rule file into a census")
     p.add_argument("--file", required=True)
-    p.add_argument("--levels", type=int, required=True)
+    p.add_argument("--levels", type=_count, required=True)
     p.set_defaults(func=cmd_rule)
 
     p = sub.add_parser("trace", help="show every tree copy of one word")

@@ -29,13 +29,19 @@ expand by plain appends only, one child per label.
 Each plus/minus copy of a word corresponds to one subset of its factor
 occurrences; per level, net = plus - minus is 1 for avoiding words and 0
 for all others, which run_levels enforces.
+
+Each node is classified once.  A plain-append child inherits its class
+(and suffix start) from its parent, since the appended steps never touch
+the axis before the endpoint; only children built by a cut are rescanned.
+run_levels never builds a child past max_ones, and every jump-j family
+that is built passes its label multiset check.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .words import (
@@ -107,17 +113,63 @@ class TreeNode:
     parity: int  # +1 or -1
     level: int
     provenance: tuple[str, ...] = ()
+    # Expansion class inherited from the parent; None means "rescan".
+    path_class: PathClass | None = field(default=None, compare=False, repr=False)
 
     @property
     def sort_key(self) -> tuple[str, tuple[int, ...], int]:
         return (self.mw.word, self.mw.spans, self.parity)
 
 
-def _child(parent: TreeNode, word: str, spans: tuple[int, ...], label: int, jump: int, tag: str) -> TreeNode:
+def _child(
+    parent: TreeNode,
+    word: str,
+    spans: tuple[int, ...],
+    label: int,
+    jump: int,
+    tag: str,
+    path_class: PathClass | None = None,
+) -> TreeNode:
     parity = parent.parity if jump == 1 else -parent.parity
     assert height(word) == label, f"label {label} != ordinate of {word!r}"
     assert parity == (1 if len(spans) % 2 == 0 else -1)
-    return TreeNode(MarkedWord(word, spans), label, parity, parent.level + jump, parent.provenance + (tag,))
+    return TreeNode(
+        MarkedWord(word, spans), label, parity, parent.level + jump, parent.provenance + (tag,), path_class
+    )
+
+
+def _node_class(node: TreeNode, pattern: Pattern, path_class: PathClass | None) -> PathClass:
+    return path_class or node.path_class or classify(node.mw, pattern)
+
+
+def _append_start(node: TreeNode, pc: PathClass) -> int:
+    """Rightmost eligible axis point of any plain append to `node`: its own
+    endpoint when it ends on the axis, its suffix start otherwise."""
+    return len(node.mw.word) if node.label == 0 else pc.suffix_start
+
+
+def _appends(node: TreeNode, pattern: Pattern, pc: PathClass, jump: int, tag: str) -> list[TreeNode]:
+    """Plain appends of one rise (jump 1) or the marked factor (jump j) and
+    then falls, one child per label from 0 up, each carrying its class.
+
+    The appended steps stay strictly above the axis until the endpoint, so
+    the label-0 child ends on the axis behind the parent's suffix start (or
+    endpoint, when that is on the axis); a child above the axis keeps the
+    parent's class, or starts a fresh above-axis suffix at the parent's
+    endpoint when the parent ends on the axis.  A new span peaks at k + j.
+    """
+    k = node.label
+    word, spans = node.mw.word, node.mw.spans
+    if jump == 1:
+        head, top = "1", k + 1
+    else:
+        head, top, spans = pattern.factor, k + pattern.j - pattern.i, spans + (len(word),)
+    on_axis = PathClass(PathKind.DELTA_ON_AXIS, _append_start(node, pc))
+    above = PathClass(PathKind.DELTA_ABOVE, len(word)) if k == 0 else pc
+    return [
+        _child(node, word + head + "0" * (top - y), spans, y, jump, f"{tag}:{y}", above if y else on_axis)
+        for y in range(top + 1)
+    ]
 
 
 # --- slack parameter a and cut points ---------------------------------------
@@ -147,8 +199,7 @@ def _suffix_peaks(mw: MarkedWord, pattern: Pattern, start: int) -> tuple[int, in
     return h, hstar
 
 
-def _ladder(mw: MarkedWord, pattern: Pattern, path_class: PathClass | None = None) -> _Ladder:
-    pc = path_class or classify(mw, pattern)
+def _ladder(mw: MarkedWord, pattern: Pattern, pc: PathClass) -> _Ladder:
     if pc.kind is PathKind.GAMMA:
         raise NotDeltaError(mw.to_text())
     if pc.kind is PathKind.DELTA_ON_AXIS:
@@ -169,7 +220,7 @@ def compute_a(mw: MarkedWord, pattern: Pattern) -> int:
     marked peaks do not dominate (h* - h <= i, or no span) and d = h* - k - i
     when they do.  When h* - h = i both readings coincide.
     """
-    return _ladder(mw, pattern).a
+    return _ladder(mw, pattern, classify(mw, pattern)).a
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,8 +236,11 @@ _LINE_SLOPE = 0
 _HIGHEST_FIRST = True
 
 
-def _cut_points(mw: MarkedWord, pattern: Pattern) -> _CutPoints:
-    t0 = rightmost_suffix(mw, pattern)[2]
+def _cut_points(mw: MarkedWord, pattern: Pattern, t0: int | None = None) -> _CutPoints:
+    """Cut points of mw; t0, when the caller knows it, is the start of its
+    rightmost axis suffix and saves the rescan."""
+    if t0 is None:
+        t0 = rightmost_suffix(mw, pattern)[2]
     suffix_spans = [s for s in mw.spans if s >= t0]
     if not suffix_spans:
         raise NoMarkedPoint(mw.to_text())
@@ -244,22 +298,22 @@ def cut_and_paste(mw: MarkedWord, pattern: Pattern) -> MarkedWord:
 def delta_jump1(node: TreeNode, pattern: Pattern, path_class: PathClass | None = None) -> list[TreeNode]:
     """The k+3 children one level deeper of a delta node with label k:
     appended children for labels 0..k+1 plus one repaired axis child."""
-    pc = path_class or classify(node.mw, pattern)
+    pc = _node_class(node, pattern, path_class)
     if pc.kind is PathKind.GAMMA:
         raise NotDeltaError(node.mw.to_text())
     k = node.label
     word, spans = node.mw.word, node.mw.spans
-    out = [
-        _child(node, word + "1" + "0" * (k + 1 - y), spans, y, 1, f"up:{y}")
-        for y in range(k + 2)
-    ]
+    out = _appends(node, pattern, pc, 1, "up")
     grown = MarkedWord(word + "1" + "0" * k, spans)
-    prefix, suffix, t0 = rightmost_suffix(grown, pattern)
+    t0 = _append_start(node, pc)  # rightmost eligible axis point of grown
     if any(s >= t0 for s in spans):
         repaired = cut_and_paste(grown, pattern)
+        out.append(_child(node, repaired.word, repaired.spans, 0, 1, "up:axis"))
     else:
-        repaired = MarkedWord(prefix + complement(suffix) + "1", spans)
-    out.append(_child(node, repaired.word, repaired.spans, 0, 1, "up:axis"))
+        # the suffix is span-free and above the axis; flipped, it returns
+        # to the axis only at the new endpoint
+        repaired_word = grown.word[:t0] + complement(grown.word[t0:]) + "1"
+        out.append(_child(node, repaired_word, spans, 0, 1, "up:axis", PathClass(PathKind.DELTA_ON_AXIS, t0)))
     return out
 
 
@@ -271,21 +325,20 @@ def delta_jumpj(
 ) -> list[TreeNode]:
     """The jump-j children of a delta node: 1+k+j-i marked appends (labels
     k+j-i down to 0) plus, for each y in [k+a, k+j-i-1], one cut-and-pasted
-    child and its longer-falling copies.  Verifies the label multiset."""
-    ladder = _ladder(node.mw, pattern, path_class)
+    child and its longer-falling copies.  Verifies the label multiset.
+    The marked appends carry their class; the cut children are rescanned."""
+    pc = _node_class(node, pattern, path_class)
+    ladder = _ladder(node.mw, pattern, pc)
     if a is None:
         a = ladder.a
     k = node.label
     ji = pattern.j - pattern.i
-    word, spans = node.mw.word, node.mw.spans
-    new_spans = spans + (len(word),)
-    out = [
-        _child(node, word + pattern.factor + "0" * (k + ji - y), new_spans, y, pattern.j, f"mark:{y}")
-        for y in range(k + ji + 1)
-    ]
+    word = node.mw.word
+    new_spans = node.mw.spans + (len(word),)
+    out = _appends(node, pattern, pc, pattern.j, "mark")
     for y in range(k + a, k + ji):
         grown = MarkedWord(word + pattern.factor + "0" * y, new_spans)
-        pts = _cut_points(grown, pattern)
+        pts = _cut_points(grown, pattern, _append_start(node, pc))
         assert pts.t == len(word) + pattern.length
         if ladder.d is None or ladder.d < ji:
             assert pts.z == pts.t, f"expected z=t for {grown.to_text()}"
@@ -312,37 +365,46 @@ def gamma_expand(
     node: TreeNode, pattern: Pattern, path_class: PathClass | None = None
 ) -> tuple[list[TreeNode], list[TreeNode]]:
     """Gamma children: plain appends only, each label exactly once."""
-    pc = path_class or classify(node.mw, pattern)
+    pc = _node_class(node, pattern, path_class)
     if pc.kind is not PathKind.GAMMA:
         raise NotGammaError(node.mw.to_text())
-    k = node.label
-    word, spans = node.mw.word, node.mw.spans
-    ji = pattern.j - pattern.i
-    one = [
-        _child(node, word + "1" + "0" * (k + 1 - y), spans, y, 1, f"gup:{y}")
-        for y in range(k + 2)
-    ]
-    new_spans = spans + (len(word),)
-    jay = [
-        _child(node, word + pattern.factor + "0" * (k + ji - y), new_spans, y, pattern.j, f"gmark:{y}")
-        for y in range(k + ji + 1)
-    ]
-    return one, jay
+    return _appends(node, pattern, pc, 1, "gup"), _appends(node, pattern, pc, pattern.j, "gmark")
+
+
+def _tree_order(node: TreeNode) -> tuple[str, tuple[int, ...]]:
+    return node.mw.word, node.mw.spans
 
 
 def expand_node(
-    node: TreeNode, pattern: Pattern, path_class: PathClass | None = None
+    node: TreeNode,
+    pattern: Pattern,
+    path_class: PathClass | None = None,
+    max_level: int | None = None,
 ) -> dict[int, list[TreeNode]]:
-    """All children of one node, grouped by target level, each group sorted
-    by (word, span starts)."""
-    pc = path_class or classify(node.mw, pattern)
+    """The children of one node, grouped by target level, each group sorted
+    by (word, span starts).
+
+    A group whose level lies past max_level (None: no bound) is never
+    built, so a jump-j family out of range skips its cuts and its label
+    multiset check; every family that is built is checked.
+    """
+    pc = _node_class(node, pattern, path_class)
     if pc.kind is PathKind.GAMMA:
-        one, jay = gamma_expand(node, pattern, pc)
+        productions = (
+            (1, lambda: _appends(node, pattern, pc, 1, "gup")),
+            (pattern.j, lambda: _appends(node, pattern, pc, pattern.j, "gmark")),
+        )
     else:
-        one = delta_jump1(node, pattern, pc)
-        jay = delta_jumpj(node, pattern, path_class=pc)
-    key = lambda nd: (nd.mw.word, nd.mw.spans)
-    return {node.level + 1: sorted(one, key=key), node.level + pattern.j: sorted(jay, key=key)}
+        productions = (
+            (1, lambda: delta_jump1(node, pattern, pc)),
+            (pattern.j, lambda: delta_jumpj(node, pattern, path_class=pc)),
+        )
+    groups = {}
+    for jump, build in productions:
+        level = node.level + jump
+        if max_level is None or level <= max_level:
+            groups[level] = sorted(build(), key=_tree_order)
+    return groups
 
 
 # --- level engine ------------------------------------------------------------
@@ -398,14 +460,17 @@ def _cancel_indices(nodes: Sequence[TreeNode]) -> list[int]:
 
 
 def _expand_batch(
-    pairs: Sequence[tuple[TreeNode, PathClass]], pattern: Pattern, workers: int
+    pairs: Sequence[tuple[TreeNode, PathClass]], pattern: Pattern, workers: int, max_level: int
 ) -> list[dict[int, list[TreeNode]]]:
+    def expand(chunk: Sequence[tuple[TreeNode, PathClass]]) -> list[dict[int, list[TreeNode]]]:
+        return [expand_node(nd, pattern, pc, max_level) for nd, pc in chunk]
+
     if workers <= 1 or len(pairs) < 2:
-        return [expand_node(nd, pattern, pc) for nd, pc in pairs]
+        return expand(pairs)
     step = max(1, -(-len(pairs) // (workers * 4)))
     chunks = [pairs[i : i + step] for i in range(0, len(pairs), step)]
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        parts = list(ex.map(lambda chunk: [expand_node(nd, pattern, pc) for nd, pc in chunk], chunks))
+        parts = list(ex.map(expand, chunks))
     return [group for part in parts for group in part]
 
 
@@ -421,8 +486,13 @@ def run_levels(
 
     Per level, nodes are processed in sorted (word, spans, parity) order;
     the report carries the label and word censuses, the surviving words
-    (net 1), and the class tallies.  A net outside {0, 1} aborts with
-    NetOutOfRange.  Children that would exceed max_ones are discarded.
+    (net 1), and the class tallies of every node.  A net outside {0, 1}
+    aborts with NetOutOfRange.
+
+    Each node is classified once: plain-append children inherit their class
+    from the parent, and only nodes built by a cut are rescanned.  Children
+    past max_ones are never built; every jump-j family that is built passes
+    its label multiset check.
     """
     if max_ones < 0:
         raise ValueError("max_ones must be >= 0")
@@ -444,7 +514,7 @@ def run_levels(
         survivors = tuple(
             sorted((w for w, (p, m) in word_census.items() if p - m == 1), key=lambda w: (len(w), w))
         )
-        pcs = [classify(nd.mw, pattern) for nd in nodes]
+        pcs = [nd.path_class or classify(nd.mw, pattern) for nd in nodes]
         class_counts = dict(Counter(pc.kind.value for pc in pcs))
         reports.append(
             LevelReport(
@@ -461,10 +531,9 @@ def run_levels(
         pairs = list(zip(nodes, pcs))
         if cancel_nodes:
             pairs = [pairs[i] for i in _cancel_indices(nodes)]
-        for groups in _expand_batch(pairs, pattern, workers):
+        for groups in _expand_batch(pairs, pattern, workers, max_ones):
             for level, kids in groups.items():
-                if level <= max_ones:
-                    buckets.setdefault(level, []).extend(kids)
+                buckets.setdefault(level, []).extend(kids)
     return RunResult(pattern, max_ones, reports)
 
 

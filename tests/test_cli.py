@@ -34,6 +34,12 @@ class TestGenerate:
         assert code == 2
         assert "need 0 < i < j" in err
 
+    @pytest.mark.parametrize("command", ["generate", "verify"])
+    def test_negative_max_ones_is_a_usage_error(self, command):
+        code, out, err = run_cli([command, "--j", "2", "--i", "1", "--max-ones", "-1"])
+        assert (code, out) == (2, "")
+        assert "--max-ones: must be >= 0, got -1" in err
+
 
 class TestVerify:
     def test_clean_pattern_passes(self):
@@ -70,6 +76,11 @@ class TestCount:
         assert code == 0
         assert out.splitlines() == ["2\t0\t1", "2\t1\t2", "2\t2\t4", "total\t7"]
 
+    def test_negative_ones_is_a_usage_error(self):
+        code, out, err = run_cli(["count", "--j", "2", "--i", "1", "--ones", "-1"])
+        assert (code, out) == (2, "")
+        assert "--ones: must be >= 0, got -1" in err
+
 
 class TestRule:
     def test_census_table(self, tmp_path):
@@ -93,6 +104,13 @@ class TestRule:
     def test_missing_file_is_a_usage_error(self):
         code, _, err = run_cli(["rule", "--file", "/nonexistent.rule", "--levels", "3"])
         assert code == 2
+
+    def test_negative_levels_is_a_usage_error(self, tmp_path):
+        rule = tmp_path / "catalan.rule"
+        rule.write_text("axiom: 2\njump 1: (2..k+1), (k)\njump 1: (k)~\n")
+        code, out, err = run_cli(["rule", "--file", str(rule), "--levels", "-1"])
+        assert (code, out) == (2, "")
+        assert "--levels: must be >= 0, got -1" in err
 
 
 class TestTrace:
@@ -138,6 +156,11 @@ class TestRender:
     def test_span_without_factor_shape_is_rejected(self):
         code, _, _ = run_cli(["render", "--word", "01", "--spans", "1"])
         assert code == 2
+
+    def test_malformed_span_list_is_a_usage_error(self):
+        code, out, err = run_cli(["render", "--word", "110", "--spans", "0,,1"])
+        assert (code, out) == (2, "")
+        assert "--spans must be comma-separated integers" in err
 
 
 class TestTopLevel:

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import cached_run, expected_word_census
+from conftest import DIFFERENTIAL_PATTERNS, cached_run, expected_word_census
 from patternforge.construction import (
     NetOutOfRange,
     NoMarkedPoint,
@@ -256,6 +256,53 @@ class TestRunLevels:
                 b.word_census,
                 b.class_counts,
             )
+
+
+class TestCarriedState:
+    """Children built by plain appends inherit their expansion class from
+    the parent instead of being rescanned; children past max_ones are
+    never built."""
+
+    @pytest.mark.parametrize("j,i", DIFFERENTIAL_PATTERNS)
+    def test_carried_class_equals_a_rescan(self, j, i):
+        pattern = Pattern(j, i)
+        # (3,1) raises its frozen sign-balance alarm at level 7
+        result = cached_run(j, i, 6 if (j, i) == (3, 1) else 7, keep_nodes=True)
+        carried = 0
+        for rep in result.levels:
+            for node in rep.nodes:
+                if node.path_class is None:
+                    # only the root and children built by a cut are rescanned
+                    assert node.level == 0 or node.provenance[-1] == "up:axis" or "cut" in node.provenance[-1]
+                else:
+                    assert node.path_class == classify(node.mw, pattern), node.mw.to_text()
+                    carried += 1
+        assert carried > 0.8 * sum(len(rep.nodes) for rep in result.levels)
+
+    @pytest.mark.parametrize("j,i,max_ones", [(2, 1, 4), (3, 1, 4), (4, 1, 4), (5, 2, 5)])
+    def test_bounded_expansion_is_the_in_range_part_of_the_full_one(self, j, i, max_ones):
+        pattern = Pattern(j, i)
+        result = cached_run(j, i, max_ones, keep_nodes=True)
+        for rep in result.levels:
+            for node in rep.nodes:
+                pc = classify(node.mw, pattern)
+                full = expand_node(node, pattern, pc)
+                for bound in range(node.level, node.level + j + 1):
+                    capped = expand_node(node, pattern, pc, bound)
+                    assert capped == {lvl: kids for lvl, kids in full.items() if lvl <= bound}
+
+    def test_run_levels_builds_no_child_past_max_ones(self, monkeypatch):
+        built = []
+        real_expand = construction.expand_node
+
+        def spy(node, pattern, path_class=None, max_level=None):
+            groups = real_expand(node, pattern, path_class, max_level)
+            built.extend(lvl for lvl, kids in groups.items() for _ in kids)
+            return groups
+
+        monkeypatch.setattr(construction, "expand_node", spy)
+        run_levels(P41, 5)
+        assert built and max(built) == 5
 
 
 class TestNodeInvariants:
