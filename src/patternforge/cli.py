@@ -1,20 +1,28 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 internal
-soundness violation.  PATTERNFORGE_THREADS caps the worker count for the
-level engine.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error or
+enumeration budget exceeded, 3 internal soundness violation: a net outside
+{0, 1}, a child multiset off its formula, a cut that splits a span, or a
+node the productions cannot classify or expand.
+
+generate, verify and trace run the level engine in one thread.  It walks
+the tree depth-first and raises a node's failure only once every lower
+level has passed, so exit code 3 reports the failure a level-by-level run
+would meet first (see construction.run_levels).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .construction import (
     MultiplicityMismatch,
     NetOutOfRange,
+    NoMarkedPoint,
+    NotDeltaError,
+    NotGammaError,
     SpanSplitError,
     collect_copies,
     run_levels,
@@ -22,16 +30,8 @@ from .construction import (
 from .oracle import DEFAULT_BUDGET, BudgetExceeded, count_avoiding
 from .succession import RuleParseError, expand_census, parse_rule
 from .verify import verify_pattern
-from .words import MarkedWord, Pattern, profile
+from .words import MarkedWord, Pattern, UnclassifiablePath, profile
 from . import __version__
-
-
-def _workers() -> int:
-    raw = os.environ.get("PATTERNFORGE_THREADS", "").strip()
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def _pattern(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Pattern:
@@ -60,7 +60,7 @@ def _add_pattern_flags(sub: argparse.ArgumentParser) -> None:
 
 def cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     pattern = _pattern(parser, args)
-    result = run_levels(pattern, args.max_ones, cancel_nodes=args.cancel_nodes, workers=_workers())
+    result = run_levels(pattern, args.max_ones)
     for rep in result.levels:
         for word in rep.survivors:
             p, m = rep.word_census[word]
@@ -73,13 +73,7 @@ def cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     pattern = _pattern(parser, args)
-    report = verify_pattern(
-        pattern,
-        args.max_ones,
-        cancel_nodes=args.cancel_nodes,
-        workers=_workers(),
-        budget=args.budget,
-    )
+    report = verify_pattern(pattern, args.max_ones, budget=args.budget)
     for verdict in report.levels:
         print(f"level {verdict.level}: {'PASS' if verdict.ok else 'FAIL'}")
     for line in report.divergences()[:10]:
@@ -126,7 +120,7 @@ def cmd_trace(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     word = args.word
     if set(word) - {"0", "1"}:
         parser.error(f"word must be over 0/1, got {word!r}")
-    result = run_levels(pattern, word.count("1"), workers=_workers(), keep_nodes=True)
+    result = run_levels(pattern, word.count("1"), keep_nodes=True)
     for node in collect_copies(result, word):
         sign = "+" if node.parity > 0 else "-"
         spans = ",".join(str(s) for s in node.mw.spans) or "-"
@@ -192,13 +186,11 @@ def main(argv: list[str] | None = None) -> int:
     _add_pattern_flags(p)
     p.add_argument("--max-ones", type=_count, required=True)
     p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
-    p.add_argument("--cancel-nodes", action="store_true")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("verify", help="differential check against the oracles")
     _add_pattern_flags(p)
     p.add_argument("--max-ones", type=_count, required=True)
-    p.add_argument("--cancel-nodes", action="store_true")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_verify)
 
@@ -230,7 +222,15 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
-    except (NetOutOfRange, MultiplicityMismatch, SpanSplitError) as exc:
+    except (
+        NetOutOfRange,
+        MultiplicityMismatch,
+        SpanSplitError,
+        NoMarkedPoint,
+        NotDeltaError,
+        NotGammaError,
+        UnclassifiablePath,
+    ) as exc:
         print(f"internal soundness violation: {exc}", file=sys.stderr)
         return 3
 

@@ -30,6 +30,14 @@ Each plus/minus copy of a word corresponds to one subset of its factor
 occurrences; per level, net = plus - minus is 1 for avoiding words and 0
 for all others, which run_levels enforces.
 
+A node's children depend on that node alone, and the only state the
+whole tree shares is the per-level census, a sum that ignores order.  So
+run_levels walks the tree depth-first with an explicit stack and counts
+each node into its level's censuses as it is met; memory scales with the
+distinct words of a level, not with its copies.  A node that fails to
+classify or expand is held back until every lower level has been checked,
+so failures surface in the order of a level-by-level run.
+
 Each node is classified once.  A plain-append child inherits its class
 (and suffix start) from its parent, since the appended steps never touch
 the axis before the endpoint; only children built by a cut are rescanned.
@@ -40,9 +48,9 @@ that is built passes its label multiset check.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Callable
 
 from .words import (
     MarkedWord,
@@ -244,21 +252,24 @@ def _cut_points(mw: MarkedWord, pattern: Pattern, t0: int | None = None) -> _Cut
     suffix_spans = [s for s in mw.spans if s >= t0]
     if not suffix_spans:
         raise NoMarkedPoint(mw.to_text())
+    length = pattern.length
+    # every point from t0 on that lies strictly inside a span
+    inside = {q for s in mw.spans if s + length > t0 for q in range(s + 1, s + length)}
     prof = profile(mw.word)
-    t = suffix_spans[-1] + pattern.length  # first point right of the rightmost marked peak's span
-    if mw.strictly_inside(t, pattern):
+    t = suffix_spans[-1] + length  # first point right of the rightmost marked peak's span
+    if t in inside:
         raise SpanSplitError(f"t at {t} inside a span of {mw.to_text()}")
     best = None
     best_y = None
     for q in range(t0, len(mw.word) + 1):
-        if mw.strictly_inside(q, pattern):
+        if q in inside:
             continue
         if prof[q] < prof[t] + _LINE_SLOPE * (q - t):
             continue
         if best is None or (_HIGHEST_FIRST and prof[q] > best_y):
             best, best_y = q, prof[q]
     assert best is not None  # t itself always qualifies
-    if mw.strictly_inside(best, pattern):
+    if best in inside:
         raise SpanSplitError(f"z at {best} inside a span of {mw.to_text()}")
     return _CutPoints(t0, t, best)
 
@@ -435,59 +446,97 @@ class RunResult:
         return sum(rep.class_counts.get(PathKind.GAMMA.value, 0) for rep in self.levels)
 
 
-def _cancel_indices(nodes: Sequence[TreeNode]) -> list[int]:
-    """Indices to keep after cancelling opposite-parity (word, spans) pairs."""
-    tally: Counter[tuple[str, tuple[int, ...], int]] = Counter()
-    for nd in nodes:
-        tally[(nd.mw.word, nd.mw.spans, nd.parity)] += 1
-    drops: dict[tuple[str, tuple[int, ...], int], int] = {}
-    for (word, spans, parity), count in tally.items():
-        if parity > 0:
-            pairs = min(count, tally.get((word, spans, -1), 0))
-            if pairs:
-                drops[(word, spans, 1)] = pairs
-                drops[(word, spans, -1)] = pairs
-    if not drops:
-        return list(range(len(nodes)))
-    keep = []
-    for idx, nd in enumerate(nodes):
-        key = (nd.mw.word, nd.mw.spans, nd.parity)
-        if drops.get(key, 0):
-            drops[key] -= 1
-        else:
-            keep.append(idx)
-    return keep
+@dataclass(slots=True)
+class _LevelTally:
+    """What the walk keeps of one level: copies per word by sign, nodes per
+    class, and the nodes the caller asked for."""
+
+    plus: dict[str, int] = field(default_factory=dict)
+    minus: dict[str, int] = field(default_factory=dict)
+    classes: Counter[PathKind] = field(default_factory=Counter)
+    kept: list[TreeNode] = field(default_factory=list)
 
 
-def _expand_batch(
-    pairs: Sequence[tuple[TreeNode, PathClass]], pattern: Pattern, workers: int, max_level: int
-) -> list[dict[int, list[TreeNode]]]:
-    def expand(chunk: Sequence[tuple[TreeNode, PathClass]]) -> list[dict[int, list[TreeNode]]]:
-        return [expand_node(nd, pattern, pc, max_level) for nd, pc in chunk]
-
-    if workers <= 1 or len(pairs) < 2:
-        return expand(pairs)
-    step = max(1, -(-len(pairs) // (workers * 4)))
-    chunks = [pairs[i : i + step] for i in range(0, len(pairs), step)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        parts = list(ex.map(expand, chunks))
-    return [group for part in parts for group in part]
+_SORT_KEY = attrgetter("sort_key")
 
 
-def run_levels(
-    pattern: Pattern,
-    max_ones: int,
-    *,
-    cancel_nodes: bool = False,
-    workers: int = 1,
-    keep_nodes: bool = False,
-) -> RunResult:
-    """Grow the tree level by level up to max_ones rise steps.
+def _walk(
+    pattern: Pattern, max_ones: int, keep: Callable[[TreeNode], bool] | None = None
+) -> tuple[list[_LevelTally], tuple[tuple, Exception] | None]:
+    """Walk the tree depth-first from the root down to max_ones rise steps.
 
-    Per level, nodes are processed in sorted (word, spans, parity) order;
-    the report carries the label and word censuses, the surviving words
-    (net 1), and the class tallies of every node.  A net outside {0, 1}
-    aborts with NetOutOfRange.
+    Each node is tallied at its level, kept when keep(node) holds, then
+    classified and, below max_ones, expanded through expand_node.  A node
+    whose classification or expansion raises grows no subtree, and the walk
+    goes on, since a level-by-level run may meet another failure first: on
+    a lower level, or on a smaller node of the same level.  The second item
+    returned is the failure such a run meets first, as ((level, 0 for
+    classify or 1 for expand, sort_key), exception), or None.
+    """
+    tallies = [_LevelTally() for _ in range(max_ones + 1)]
+    failure = None
+
+    def fail(key: tuple, exc: Exception) -> None:
+        nonlocal failure
+        if failure is None or key < failure[0]:
+            failure = (key, exc)
+
+    stack = [TreeNode(MarkedWord(""), 0, 1, 0)]
+    while stack:
+        node = stack.pop()
+        level = node.level
+        tally = tallies[level]
+        copies = tally.plus if node.parity > 0 else tally.minus
+        word = node.mw.word
+        copies[word] = copies.get(word, 0) + 1
+        if keep is not None and keep(node):
+            tally.kept.append(node)
+        # Any exception is held, not only the construction's own: the
+        # level-by-level order decides which one surfaces.
+        try:
+            pc = node.path_class or classify(node.mw, pattern)
+        except Exception as exc:
+            fail((level, 0, node.sort_key), exc)
+            continue
+        tally.classes[pc.kind] += 1
+        if level == max_ones:
+            continue
+        try:
+            groups = expand_node(node, pattern, pc, max_ones)
+        except Exception as exc:
+            fail((level, 1, node.sort_key), exc)
+            continue
+        for kids in groups.values():
+            stack.extend(kids)
+    return tallies, failure
+
+
+def _provenances(pattern: Pattern, level: int, word: str) -> tuple[tuple[str, ...], ...]:
+    """Lineages of every copy of `word` at `level`, in sort_key order.
+
+    Walks the tree a second time.  It runs only once every lower level has
+    passed its checks, so the walk reaches every copy."""
+    tallies, _ = _walk(pattern, level, lambda node: node.level == level and node.mw.word == word)
+    return tuple(node.provenance for node in sorted(tallies[level].kept, key=_SORT_KEY))
+
+
+def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> RunResult:
+    """Grow the tree up to max_ones rise steps.
+
+    The tree is walked depth-first and every node is counted into its
+    level's censuses as it is met, so memory holds the distinct words of
+    each level and the walk's stack, not the copies (unless keep_nodes).
+    Per level the report carries the label census, the word census in
+    ascending word order, the surviving words (net 1), the class tallies of
+    every node and, with keep_nodes, the nodes sorted by (word, spans,
+    parity).
+
+    Levels are checked in order once the walk ends.  At each, a word whose
+    net lies outside {0, 1} raises NetOutOfRange (the smallest such word,
+    with the lineages of all its copies); then a classification, and then
+    an expansion, that failed on a node of that level is raised, the
+    smallest node first.  Failures therefore surface exactly as a
+    level-by-level run would raise them.
 
     Each node is classified once: plain-append children inherit their class
     from the parent, and only nodes built by a cut are rescanned.  Children
@@ -496,44 +545,35 @@ def run_levels(
     """
     if max_ones < 0:
         raise ValueError("max_ones must be >= 0")
-    root = TreeNode(MarkedWord(""), 0, 1, 0)
-    buckets: dict[int, list[TreeNode]] = {0: [root]}
+    tallies, failure = _walk(pattern, max_ones, (lambda node: True) if keep_nodes else None)
     reports: list[LevelReport] = []
     for n in range(max_ones + 1):
-        nodes = sorted(buckets.pop(n, []), key=lambda nd: nd.sort_key)
-        label_census: dict[int, list[int]] = {}
-        word_census: dict[str, list[int]] = {}
-        for nd in nodes:
-            slot = 0 if nd.parity > 0 else 1
-            label_census.setdefault(nd.label, [0, 0])[slot] += 1
-            word_census.setdefault(nd.mw.word, [0, 0])[slot] += 1
+        tally, tallies[n] = tallies[n], None  # a level's tallies go once it is reported
+        plus, minus = tally.plus, tally.minus
+        word_census = {w: (plus.get(w, 0), minus.get(w, 0)) for w in sorted(plus.keys() | minus.keys())}
         for word, (p, m) in word_census.items():
             if p - m not in (0, 1):
-                provs = tuple(nd.provenance for nd in nodes if nd.mw.word == word)
-                raise NetOutOfRange(word, n, p - m, provs)
+                raise NetOutOfRange(word, n, p - m, _provenances(pattern, n, word))
+        if failure is not None and failure[0][0] == n:
+            raise failure[1]
+        label_census: dict[int, tuple[int, int]] = {}
+        for word, (p, m) in word_census.items():
+            label = 2 * n - len(word)  # the endpoint ordinate of a word with n rises
+            lp, lm = label_census.get(label, (0, 0))
+            label_census[label] = (lp + p, lm + m)
         survivors = tuple(
             sorted((w for w, (p, m) in word_census.items() if p - m == 1), key=lambda w: (len(w), w))
         )
-        pcs = [nd.path_class or classify(nd.mw, pattern) for nd in nodes]
-        class_counts = dict(Counter(pc.kind.value for pc in pcs))
         reports.append(
             LevelReport(
                 n,
-                {lab: (p, m) for lab, (p, m) in sorted(label_census.items())},
-                {w: (p, m) for w, (p, m) in word_census.items()},
+                dict(sorted(label_census.items())),
+                word_census,
                 survivors,
-                class_counts,
-                tuple(nodes) if keep_nodes else None,
+                {kind.value: tally.classes[kind] for kind in PathKind if kind in tally.classes},
+                tuple(sorted(tally.kept, key=_SORT_KEY)) if keep_nodes else None,
             )
         )
-        if n == max_ones:
-            continue
-        pairs = list(zip(nodes, pcs))
-        if cancel_nodes:
-            pairs = [pairs[i] for i in _cancel_indices(nodes)]
-        for groups in _expand_batch(pairs, pattern, workers, max_ones):
-            for level, kids in groups.items():
-                buckets.setdefault(level, []).extend(kids)
     return RunResult(pattern, max_ones, reports)
 
 

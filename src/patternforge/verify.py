@@ -41,13 +41,11 @@ def verify_pattern(
     pattern: Pattern,
     max_ones: int,
     *,
-    cancel_nodes: bool = False,
-    workers: int = 1,
     budget: int = DEFAULT_BUDGET,
     result: RunResult | None = None,
 ) -> VerifyReport:
     if result is None:
-        result = run_levels(pattern, max_ones, cancel_nodes=cancel_nodes, workers=workers)
+        result = run_levels(pattern, max_ones)
     verdicts = []
     for rep in result.levels:
         n = rep.level

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import io
-import os
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
@@ -99,26 +98,14 @@ def expected_word_census(pattern: Pattern, ones: int) -> dict[str, tuple[int, in
     return census
 
 
-def run_cli(argv: list[str], env: dict[str, str] | None = None) -> tuple[int, str, str]:
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
     """Run the CLI in process; returns (exit code, stdout, stderr)."""
     from patternforge.cli import main
 
     out, err = io.StringIO(), io.StringIO()
-    saved = {}
-    if env:
-        for k, v in env.items():
-            saved[k] = os.environ.get(k)
-            os.environ[k] = v
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse usage errors / --version
-                code = exc.code if isinstance(exc.code, int) else 0
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors / --version
+            code = exc.code if isinstance(exc.code, int) else 0
     return code, out.getvalue(), err.getvalue()

@@ -1,17 +1,15 @@
-"""Command line interface: formats, exit codes, environment knobs."""
+"""Command line interface: formats and exit codes."""
 
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
 from conftest import run_cli
-
-PKG_DIR = os.path.join(os.path.dirname(__file__), os.pardir)
+from patternforge import construction
+from patternforge.construction import NoMarkedPoint, NotDeltaError, NotGammaError
+from patternforge.words import UnclassifiablePath
 
 
 class TestGenerate:
@@ -63,6 +61,16 @@ class TestVerify:
         assert code == 3
         assert "internal soundness violation" in err
         assert "'0001011101110' at level 7 has net multiplicity -1" in err
+
+    @pytest.mark.parametrize("error", [UnclassifiablePath, NotDeltaError, NotGammaError, NoMarkedPoint])
+    def test_production_failure_is_a_soundness_error(self, monkeypatch, error):
+        def expand(node, pattern, path_class=None, max_level=None):
+            raise error(node.mw.to_text())
+
+        monkeypatch.setattr(construction, "expand_node", expand)
+        code, out, err = run_cli(["verify", "--j", "2", "--i", "1", "--max-ones", "3"])
+        assert (code, out) == (3, "")
+        assert "internal soundness violation" in err
 
     def test_tiny_budget_is_reported(self):
         code, _, err = run_cli(["verify", "--j", "2", "--i", "1", "--max-ones", "5", "--budget", "10"])
@@ -168,21 +176,3 @@ class TestTopLevel:
         code, out, _ = run_cli(["--version"])
         assert code == 0
         assert out.strip() == "patternforge 0.1.0"
-
-    def test_thread_env_var_does_not_change_output(self):
-        cmd = [sys.executable, "-m", "patternforge", "generate", "--j", "3", "--i", "2", "--max-ones", "6"]
-        outs = []
-        for threads in ("1", "4"):
-            env = dict(os.environ, PATTERNFORGE_THREADS=threads)
-            proc = subprocess.run(cmd, capture_output=True, cwd=PKG_DIR, env=env)
-            assert proc.returncode == 0
-            outs.append(proc.stdout)
-        assert outs[0] == outs[1]
-
-    def test_malformed_thread_env_var_is_ignored(self):
-        code, out, _ = run_cli(
-            ["generate", "--j", "2", "--i", "1", "--max-ones", "2"],
-            env={"PATTERNFORGE_THREADS": "not-a-number"},
-        )
-        assert code == 0
-        assert len(out.splitlines()) == 11

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -236,26 +237,135 @@ class TestRunLevels:
         assert cached_run(3, 2, 5).gamma_total == 0
         assert cached_run(3, 1, 5).gamma_total > 0
 
-    def test_cancel_nodes_is_behavior_preserving(self):
-        plain = cached_run(2, 1, 5)
-        cancelled = run_levels(P21, 5, cancel_nodes=True)
-        for a, b in zip(plain.levels, cancelled.levels):
-            assert (a.survivors, a.label_census, a.word_census) == (
-                b.survivors,
-                b.label_census,
-                b.word_census,
-            )
 
-    def test_worker_count_does_not_change_results(self):
-        serial = cached_run(3, 2, 6)
-        threaded = run_levels(P32, 6, workers=3)
-        for a, b in zip(serial.levels, threaded.levels):
-            assert (a.survivors, a.label_census, a.word_census, a.class_counts) == (
-                b.survivors,
-                b.label_census,
-                b.word_census,
-                b.class_counts,
-            )
+def reference_levels(pattern: Pattern, max_ones: int):
+    """Level-synchronous reference engine: whole levels in sorted node
+    order.  Yields (nodes, label census, word census, survivors, class
+    counts) per level, with no sign-balance check."""
+    buckets = {0: [TreeNode(MarkedWord(""), 0, 1, 0)]}
+    for n in range(max_ones + 1):
+        nodes = sorted(buckets.pop(n, []), key=lambda nd: nd.sort_key)
+        labels, words = {}, {}
+        for nd in nodes:
+            slot = 0 if nd.parity > 0 else 1
+            labels.setdefault(nd.label, [0, 0])[slot] += 1
+            words.setdefault(nd.mw.word, [0, 0])[slot] += 1
+        pcs = [classify(nd.mw, pattern) for nd in nodes]
+        yield (
+            tuple(nodes),
+            {k: tuple(c) for k, c in sorted(labels.items())},
+            {w: tuple(c) for w, c in words.items()},
+            tuple(sorted((w for w, (p, m) in words.items() if p - m == 1), key=lambda w: (len(w), w))),
+            dict(Counter(pc.kind.value for pc in pcs)),
+        )
+        for nd, pc in zip(nodes, pcs if n < max_ones else ()):
+            for level, kids in expand_node(nd, pattern, pc, max_ones).items():
+                buckets.setdefault(level, []).extend(kids)
+
+
+class Boom(Exception):
+    pass
+
+
+def fail_on(monkeypatch, should_fail):
+    """Make construction.expand_node raise Boom(level, sort_key) on the
+    nodes should_fail picks."""
+    real = construction.expand_node
+
+    def expand(node, pattern, path_class=None, max_level=None):
+        if should_fail(node):
+            raise Boom(node.level, node.sort_key)
+        return real(node, pattern, path_class, max_level)
+
+    monkeypatch.setattr(construction, "expand_node", expand)
+
+
+class TestDepthFirstWalk:
+    """run_levels walks the tree depth-first; its reports and its failures
+    must be those of a level-by-level run."""
+
+    @pytest.mark.parametrize("j,i", DIFFERENTIAL_PATTERNS)
+    def test_reports_equal_the_level_synchronous_reference(self, j, i):
+        pattern = Pattern(j, i)
+        kept = run_levels(pattern, 6, keep_nodes=True)
+        streamed = cached_run(j, i, 6)
+        want = list(reference_levels(pattern, 6))
+        assert len(kept.levels) == len(streamed.levels) == len(want) == 7
+        for rep, plain, (nodes, labels, words, survivors, classes) in zip(kept.levels, streamed.levels, want):
+            assert rep.nodes == nodes and plain.nodes is None
+            for got in (rep, plain):
+                assert got.label_census == labels
+                assert list(got.word_census.items()) == list(words.items())  # ascending words
+                assert got.survivors == survivors
+                assert got.class_counts == classes
+
+    def test_failure_waits_for_lower_levels(self, monkeypatch):
+        # the largest level-2 node and every level-4 node fail to expand
+        top = max(nd.sort_key for nd in cached_run(2, 1, 2, keep_nodes=True).levels[2].nodes)
+        fail_on(monkeypatch, lambda nd: nd.level == 4 or nd.sort_key == top)
+        assert run_levels(P21, 2).levels[2].survivors  # level 2 is never expanded
+        with pytest.raises(Boom) as err:
+            run_levels(P21, 6)
+        assert err.value.args == (2, top)
+
+    def test_smallest_node_of_a_level_fails_first(self, monkeypatch):
+        nodes = cached_run(2, 1, 3, keep_nodes=True).levels[3].nodes
+        fail_on(monkeypatch, lambda nd: nd.level == 3)
+        with pytest.raises(Boom) as err:
+            run_levels(P21, 5)
+        assert err.value.args == (3, nodes[0].sort_key)
+        # a classification failure on the same level comes before any expansion
+        last = [nd for nd in nodes if nd.path_class is None][-1]  # the largest node classify sees
+        real_classify = construction.classify
+
+        def classify_or_fail(mw, pattern):
+            if mw == last.mw:
+                raise Boom(3, last.sort_key)
+            return real_classify(mw, pattern)
+
+        monkeypatch.setattr(construction, "classify", classify_or_fail)
+        with pytest.raises(Boom) as err:
+            run_levels(P21, 5)
+        assert err.value.args == (3, last.sort_key)
+
+    @pytest.mark.parametrize("failing_level,raised", [(4, Boom), (5, NetOutOfRange), (6, NetOutOfRange)])
+    def test_net_out_of_range_wins_from_its_level_on(self, monkeypatch, failing_level, raised):
+        # a sloped cut line breaks the sign balance at level 5 (see TestCutGeometryKnobs)
+        monkeypatch.setattr(construction, "_LINE_SLOPE", 1)
+        fail_on(monkeypatch, lambda nd: nd.level == failing_level)
+        with pytest.raises(raised) as err:
+            run_levels(P21, 7)
+        if raised is NetOutOfRange:
+            assert (err.value.word, err.value.level, err.value.net) == ("0011001101", 5, -1)
+        else:
+            assert err.value.args[0] == failing_level
+
+    def test_alarm_provenances_are_those_of_the_kept_copies(self, differential_runs):
+        err = differential_runs[(3, 1)]["error"]  # criterion 8's alarm
+        assert (err.word, err.level) == ("0001011101110", 7)
+        # level 7 grows from level 6 by jump 1 and from level 4 by jump 3
+        below = run_levels(P31, 6, keep_nodes=True)
+        copies = [
+            kid
+            for level in (6, 4)
+            for node in below.levels[level].nodes
+            for kid in expand_node(node, P31, max_level=7).get(7, [])
+            if kid.mw.word == err.word
+        ]
+        assert len(copies) >= 2
+        assert err.provenances == tuple(c.provenance for c in sorted(copies, key=lambda c: c.sort_key))
+
+    def test_memory_holds_words_not_copies(self):
+        def peak(**kwargs):
+            tracemalloc.start()
+            try:
+                run_levels(P21, 6, **kwargs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # measured ratio: 0.21 (0.63 MB against 3.0 MB)
+        assert peak() < 0.5 * peak(keep_nodes=True)
 
 
 class TestCarriedState:
