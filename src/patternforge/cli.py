@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error or
 enumeration budget exceeded, 3 internal soundness violation: a net outside
-{0, 1}, a child multiset off its formula, a cut that splits a span, or a
-node the productions cannot classify or expand.
+{0, 1}, a child multiset off its formula, a cut that splits a span, a
+node the productions cannot classify or expand, or a child that breaks a
+production invariant (label, parity, height after a cut, pinned cut point).
 
 generate, verify and trace run the level engine in one thread.  It walks
 the tree depth-first and raises a node's failure only once every lower
@@ -18,6 +19,7 @@ import json
 import sys
 
 from .construction import (
+    InvariantViolation,
     MultiplicityMismatch,
     NetOutOfRange,
     NoMarkedPoint,
@@ -223,6 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
     except (
+        InvariantViolation,
         NetOutOfRange,
         MultiplicityMismatch,
         SpanSplitError,

@@ -74,6 +74,7 @@ __all__ = [
     "SpanSplitError",
     "MultiplicityMismatch",
     "NetOutOfRange",
+    "InvariantViolation",
     "compute_a",
     "cut_and_paste",
     "delta_jump1",
@@ -103,6 +104,12 @@ class SpanSplitError(Exception):
 
 class MultiplicityMismatch(Exception):
     pass
+
+
+class InvariantViolation(Exception):
+    """A node breaks an invariant its production guarantees (label, parity,
+    height after a cut, or a pinned cut point).  Raised, not asserted, so
+    the check survives ``python -O``."""
 
 
 class NetOutOfRange(Exception):
@@ -139,8 +146,10 @@ def _child(
     path_class: PathClass | None = None,
 ) -> TreeNode:
     parity = parent.parity if jump == 1 else -parent.parity
-    assert height(word) == label, f"label {label} != ordinate of {word!r}"
-    assert parity == (1 if len(spans) % 2 == 0 else -1)
+    if height(word) != label:
+        raise InvariantViolation(f"label {label} != ordinate of {word!r}")
+    if parity != (1 if len(spans) % 2 == 0 else -1):
+        raise InvariantViolation(f"parity {parity} != sign of {len(spans)} spans in {word!r}")
     return TreeNode(
         MarkedWord(word, spans), label, parity, parent.level + jump, parent.provenance + (tag,), path_class
     )
@@ -268,7 +277,8 @@ def _cut_points(mw: MarkedWord, pattern: Pattern, t0: int | None = None) -> _Cut
             continue
         if best is None or (_HIGHEST_FIRST and prof[q] > best_y):
             best, best_y = q, prof[q]
-    assert best is not None  # t itself always qualifies
+    if best is None:  # t itself always qualifies
+        raise InvariantViolation(f"no cut point z in {mw.to_text()}")
     if best in inside:
         raise SpanSplitError(f"z at {best} inside a span of {mw.to_text()}")
     return _CutPoints(t0, t, best)
@@ -288,7 +298,8 @@ def _apply_cut(mw: MarkedWord, pattern: Pattern, pts: _CutPoints) -> MarkedWord:
         else:
             spans.append(s + 1 + len(alpha))
     out = MarkedWord(bits[:t0] + "0" + alpha + beta, tuple(spans))
-    assert height(out.word) == height(bits) - 1
+    if height(out.word) != height(bits) - 1:
+        raise InvariantViolation(f"cut of {mw.to_text()} gave {out.to_text()}, not one ordinate lower")
     return out
 
 
@@ -350,12 +361,15 @@ def delta_jumpj(
     for y in range(k + a, k + ji):
         grown = MarkedWord(word + pattern.factor + "0" * y, new_spans)
         pts = _cut_points(grown, pattern, _append_start(node, pc))
-        assert pts.t == len(word) + pattern.length
+        if pts.t != len(word) + pattern.length:
+            raise InvariantViolation(f"t at {pts.t}, not behind the new span, in {grown.to_text()}")
         if ladder.d is None or ladder.d < ji:
-            assert pts.z == pts.t, f"expected z=t for {grown.to_text()}"
+            if pts.z != pts.t:
+                raise InvariantViolation(f"expected z=t for {grown.to_text()}")
         else:
             want = (ladder.hstar - pattern.i) if ladder.route_marked else ladder.h
-            assert profile(grown.word)[pts.z] == want, f"z off the pinned ordinate for {grown.to_text()}"
+            if profile(grown.word)[pts.z] != want:
+                raise InvariantViolation(f"z off the pinned ordinate for {grown.to_text()}")
         repaired = _apply_cut(grown, pattern, pts)
         m0 = k + ji - y - 1
         out.append(_child(node, repaired.word, repaired.spans, m0, pattern.j, f"mark:cut{y}"))

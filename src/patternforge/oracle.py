@@ -1,14 +1,22 @@
 """Independent counting oracles for factor avoidance.
 
-Two routes that share no code with the tree construction: exhaustive
-enumeration (with a budget guard) and a failure-function automaton driving
-an exact dynamic program over (ones, zeros, state) with Python integers.
+Two routes that share no code with the tree construction:
+
+- exhaustive enumeration: grows words depth-first and drops a prefix as
+  soon as it ends with the factor, so its cost scales with the avoiding
+  prefixes, not with the candidate words.  The budget guard still counts
+  the candidates, C(n+m, m) summed over the fall counts m <= n, so the
+  same requests are refused as by a generate-and-filter run;
+- a failure-function automaton driving an exact dynamic program over
+  (ones, zeros, state) with Python integers.  One sweep over the zeros
+  yields the counts for every fall count at once; that row is memoised
+  per (pattern, ones), so the calls for the labels of one level share it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 from math import comb
 
 from .words import Pattern
@@ -82,32 +90,49 @@ def build_automaton(pattern: Pattern) -> FactorAutomaton:
 
 def brute_force(pattern: Pattern, ones: int, budget: int = DEFAULT_BUDGET) -> list[str]:
     """Every avoiding word with exactly `ones` rises and at most that many
-    falls, sorted by (length, lexicographic)."""
+    falls, sorted by (length, lexicographic).
+
+    A word contains the factor exactly when one of its prefixes ends with
+    it, and only a fall can complete it, so the walk tests each fall it
+    appends and never extends a prefix that holds the factor.  Trying `0`
+    before `1` meets the words of each fall count in lexicographic order.
+    """
     total = sum(comb(ones + m, m) for m in range(ones + 1))
     if total > budget:
         raise BudgetExceeded(f"{total} candidate words exceed budget {budget}")
     factor = pattern.factor
-    out = []
-    for m in range(ones + 1):
-        length = ones + m
-        for zero_pos in combinations(range(length), m):
-            bits = ["1"] * length
-            for p in zero_pos:
-                bits[p] = "0"
-            word = "".join(bits)
-            if factor not in word:
-                out.append(word)
-    out.sort(key=lambda w: (len(w), w))
-    return out
+    by_falls: list[list[str]] = [[] for _ in range(ones + 1)]
+
+    def grow(prefix: str, o: int, z: int) -> None:
+        if o == ones:  # only falls are left to append
+            while True:
+                by_falls[z].append(prefix)
+                if z == ones:
+                    return
+                prefix += "0"
+                if prefix.endswith(factor):
+                    return
+                z += 1
+        if z < ones:
+            fell = prefix + "0"
+            if not fell.endswith(factor):
+                grow(fell, o, z + 1)
+        grow(prefix + "1", o + 1, z)
+
+    if ones >= 0:
+        grow("", 0, 0)
+    return [word for words in by_falls for word in words]
 
 
-def count_avoiding(pattern: Pattern, ones: int, zeros: int) -> int:
-    """Exact number of avoiding words with the given step counts."""
+@lru_cache(maxsize=256)
+def _counts_by_zeros(pattern: Pattern, ones: int, width: int) -> tuple[int, ...]:
+    """count_avoiding(pattern, ones, z) for every z in 0..width, from one
+    sweep of the DP over the zeros."""
     aut = build_automaton(pattern)
     dead = aut.dead
-    width = dead  # live states 0..dead-1
+    live = dead  # live states 0..dead-1
     # dp[o][s] for the current zero count; zeros iterate in the outer loop
-    dp = [[0] * width for _ in range(ones + 1)]
+    dp = [[0] * live for _ in range(ones + 1)]
     dp[0][0] = 1
     for o in range(ones):
         for s, c in enumerate(dp[o]):
@@ -115,8 +140,9 @@ def count_avoiding(pattern: Pattern, ones: int, zeros: int) -> int:
                 s2 = aut.transitions[s][1]
                 if s2 != dead:
                     dp[o + 1][s2] += c
-    for _z in range(zeros):
-        nxt = [[0] * width for _ in range(ones + 1)]
+    by_zeros = [sum(dp[ones])]
+    for _z in range(width):
+        nxt = [[0] * live for _ in range(ones + 1)]
         for o in range(ones + 1):
             row = dp[o]
             for s, c in enumerate(row):
@@ -131,9 +157,17 @@ def count_avoiding(pattern: Pattern, ones: int, zeros: int) -> int:
                         if s2 != dead:
                             nxt[o + 1][s2] += c
         dp = nxt
-    return sum(dp[ones])
+        by_zeros.append(sum(dp[ones]))
+    return tuple(by_zeros)
+
+
+def count_avoiding(pattern: Pattern, ones: int, zeros: int) -> int:
+    """Exact number of avoiding words with the given step counts."""
+    if ones < 0 or zeros < 0:
+        return 0
+    return _counts_by_zeros(pattern, ones, max(ones, zeros))[zeros]
 
 
 def level_count(pattern: Pattern, ones: int) -> int:
     """Total avoiding words with exactly `ones` rises over all legal fall counts."""
-    return sum(count_avoiding(pattern, ones, m) for m in range(ones + 1))
+    return sum(_counts_by_zeros(pattern, ones, ones)) if ones >= 0 else 0

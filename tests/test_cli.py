@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +74,39 @@ class TestVerify:
         code, out, err = run_cli(["verify", "--j", "2", "--i", "1", "--max-ones", "3"])
         assert (code, out) == (3, "")
         assert "internal soundness violation" in err
+
+    def test_broken_invariant_is_a_soundness_error(self, monkeypatch):
+        apply_cut = construction._apply_cut
+
+        def cut_one_fall_too_low(mw, pattern, pts):
+            out = apply_cut(mw, pattern, pts)
+            return construction.MarkedWord(out.word + "0", out.spans)
+
+        monkeypatch.setattr(construction, "_apply_cut", cut_one_fall_too_low)
+        code, out, err = run_cli(["verify", "--j", "2", "--i", "1", "--max-ones", "4"])
+        assert (code, out) == (3, "")
+        assert "internal soundness violation: label 0 != ordinate of" in err
+
+    def test_broken_invariant_is_caught_under_optimize(self):
+        """`python -O` strips asserts; the invariant checks must not be asserts."""
+        script = (
+            "import sys\n"
+            "from patternforge import construction\n"
+            "from patternforge.cli import main\n"
+            "apply_cut = construction._apply_cut\n"
+            "def cut(mw, pattern, pts):\n"
+            "    out = apply_cut(mw, pattern, pts)\n"
+            "    return construction.MarkedWord(out.word + '0', out.spans)\n"
+            "construction._apply_cut = cut\n"
+            "sys.exit(main(['verify', '--j', '2', '--i', '1', '--max-ones', '4']))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, cwd=src, timeout=60
+        )
+        assert proc.returncode == 3, proc.stderr
+        # without the check, the run would fail later on a net of -1
+        assert "internal soundness violation: label 0 != ordinate of" in proc.stderr
 
     def test_tiny_budget_is_reported(self):
         code, _, err = run_cli(["verify", "--j", "2", "--i", "1", "--max-ones", "5", "--budget", "10"])

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import DIFFERENTIAL_PATTERNS
+from patternforge import oracle
 from patternforge.oracle import (
     BudgetExceeded,
     brute_force,
@@ -76,12 +80,100 @@ class TestBruteForce:
         # candidate count for two rises is exactly 1 + 3 + 6 = 10
         assert len(brute_force(P21, 2, budget=10)) == 7
 
+    @pytest.mark.parametrize("ones", [0, 1, 4, 9])
+    def test_budget_counts_candidates_not_survivors(self, ones):
+        candidates = sum(comb(ones + m, m) for m in range(ones + 1))
+        with pytest.raises(BudgetExceeded):
+            brute_force(P21, ones, budget=candidates - 1)
+        assert brute_force(P21, ones, budget=candidates) == brute_force(P21, ones)
+
+    @pytest.mark.parametrize("ji", DIFFERENTIAL_PATTERNS)
+    def test_equals_naive_filter(self, ji):
+        """Generate every candidate, filter by substring search, sort."""
+        pattern = Pattern(*ji)
+        for n in range(8):
+            naive = sorted(
+                (
+                    word
+                    for length in range(n, 2 * n + 1)
+                    for word in map("".join, product("01", repeat=length))
+                    if word.count("1") == n and pattern.factor not in word
+                ),
+                key=lambda w: (len(w), w),
+            )
+            assert brute_force(pattern, n) == naive, (ji, n)
+
+    def test_negative_ones_has_no_words(self):
+        assert brute_force(P21, -1) == []
+        assert level_count(P21, -1) == 0
+
+
+def per_call_count(pattern: Pattern, ones: int, zeros: int) -> int:
+    """Reference: the DP as it ran before the sweep was shared, one full
+    pass over (ones, zeros, state) per queried cell."""
+    aut = build_automaton(pattern)
+    dead = aut.dead
+    width = dead  # live states 0..dead-1
+    dp = [[0] * width for _ in range(ones + 1)]
+    dp[0][0] = 1
+    for o in range(ones):
+        for s, c in enumerate(dp[o]):
+            if c:
+                s2 = aut.transitions[s][1]
+                if s2 != dead:
+                    dp[o + 1][s2] += c
+    for _z in range(zeros):
+        nxt = [[0] * width for _ in range(ones + 1)]
+        for o in range(ones + 1):
+            row = dp[o]
+            for s, c in enumerate(row):
+                if c:
+                    s2 = aut.transitions[s][0]
+                    if s2 != dead:
+                        nxt[o][s2] += c
+            if o < ones:
+                for s, c in enumerate(nxt[o]):
+                    if c:
+                        s2 = aut.transitions[s][1]
+                        if s2 != dead:
+                            nxt[o + 1][s2] += c
+        dp = nxt
+    return sum(dp[ones])
+
+
+SWEEP_PATTERNS = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 2)]
+
 
 class TestCountAvoiding:
     def test_goldens(self):
         assert count_avoiding(P21, 0, 0) == 1
         assert count_avoiding(P21, 2, 1) == 2
         assert count_avoiding(P21, 2, 2) == 4
+
+    @pytest.mark.parametrize("order", ["shuffled", "reversed"])
+    def test_shared_sweep_equals_per_call_dp(self, order):
+        """Every cell, zeros > ones included, whatever the cache holds when
+        it is asked for."""
+        cells = [
+            (Pattern(*ji), n, z) for ji in SWEEP_PATTERNS for n in range(9) for z in range(n + 4)
+        ]
+        want = {cell: per_call_count(*cell) for cell in cells}
+        if order == "shuffled":
+            random.Random(4).shuffle(cells)
+        else:
+            cells.reverse()
+        oracle._counts_by_zeros.cache_clear()
+        assert {cell: count_avoiding(*cell) for cell in cells} == want
+
+    @pytest.mark.parametrize("ji", SWEEP_PATTERNS)
+    def test_level_count_is_the_sum_of_its_row(self, ji):
+        pattern = Pattern(*ji)
+        for n in range(12):
+            assert level_count(pattern, n) == sum(count_avoiding(pattern, n, m) for m in range(n + 1))
+
+    def test_negative_step_counts_have_no_words(self):
+        assert count_avoiding(P21, -1, 0) == 0
+        assert count_avoiding(P21, 2, -1) == 0
 
     @pytest.mark.parametrize("pattern", [P21, P31, P32, P42])
     def test_matches_enumeration_by_fall_count(self, pattern):
