@@ -9,7 +9,9 @@ production invariant (label, parity, height after a cut, pinned cut point).
 generate, verify and trace run the level engine in one thread.  It walks
 the tree depth-first and raises a node's failure only once every lower
 level has passed, so exit code 3 reports the failure a level-by-level run
-would meet first (see construction.run_levels).
+would meet first (see construction.run_levels).  trace checks the levels
+up to its word the same way, then walks the whole tree to that level
+keeping only the word's copies.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .construction import (
     NotDeltaError,
     NotGammaError,
     SpanSplitError,
-    collect_copies,
+    copies_of,
     run_levels,
 )
 from .oracle import DEFAULT_BUDGET, BudgetExceeded, count_avoiding
@@ -122,8 +124,8 @@ def cmd_trace(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     word = args.word
     if set(word) - {"0", "1"}:
         parser.error(f"word must be over 0/1, got {word!r}")
-    result = run_levels(pattern, word.count("1"), keep_nodes=True)
-    for node in collect_copies(result, word):
+    run_levels(pattern, word.count("1"))  # raises what a run to the word's level raises
+    for node in copies_of(pattern, word):
         sign = "+" if node.parity > 0 else "-"
         spans = ",".join(str(s) for s in node.mw.spans) or "-"
         prov = ">".join(node.provenance) or "-"

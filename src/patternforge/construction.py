@@ -38,6 +38,19 @@ distinct words of a level, not with its copies.  A node that fails to
 classify or expand is held back until every lower level has been checked,
 so failures surface in the order of a level-by-level run.
 
+Axis returns.  A node q that ends on the axis above the root (label 0,
+level m >= 1) grows the whole tree again behind its word: every child of
+q sees q only through its endpoint len(q.word), which is its rightmost
+eligible axis point, and every suffix start, cut and rescan below q looks
+only at points from there on.  So q's subtree at level n is the root's
+tree at level n - m with q.word in front, spans shifted by len(q.word) and
+signs multiplied by q's.  run_levels therefore walks only the nodes no
+axis return lies above, records each return's word by sign, and builds
+level n as its walked part plus, for each m in 1..n-1, the returns of
+level m concatenated with the full census of level n - m.  Runs that need
+the nodes themselves (keep_nodes, the copies of one word) walk the whole
+tree.
+
 Each node is classified once.  A plain-append child inherits its class
 (and suffix start) from its parent, since the appended steps never touch
 the axis before the endpoint; only children built by a cut are rescanned.
@@ -83,6 +96,7 @@ __all__ = [
     "expand_node",
     "run_levels",
     "collect_copies",
+    "copies_of",
 ]
 
 
@@ -463,12 +477,14 @@ class RunResult:
 @dataclass(slots=True)
 class _LevelTally:
     """What the walk keeps of one level: copies per word by sign, nodes per
-    class, and the nodes the caller asked for."""
+    class, the nodes the caller asked for, and the axis returns it did not
+    expand, as word -> [plus copies, minus copies]."""
 
     plus: dict[str, int] = field(default_factory=dict)
     minus: dict[str, int] = field(default_factory=dict)
     classes: Counter[PathKind] = field(default_factory=Counter)
     kept: list[TreeNode] = field(default_factory=list)
+    returns: dict[str, list[int]] = field(default_factory=dict)
 
 
 _SORT_KEY = attrgetter("sort_key")
@@ -480,10 +496,13 @@ def _walk(
     """Walk the tree depth-first from the root down to max_ones rise steps.
 
     Each node is tallied at its level, kept when keep(node) holds, then
-    classified and, below max_ones, expanded through expand_node.  A node
-    whose classification or expansion raises grows no subtree, and the walk
-    goes on, since a level-by-level run may meet another failure first: on
-    a lower level, or on a smaller node of the same level.  The second item
+    classified and, below max_ones, expanded through expand_node.  With no
+    keep, an axis return (a label-0 node above the root) is tallied and
+    classified but not expanded; its word goes into its level's returns
+    instead, for run_levels to grow from the censuses.  A node whose
+    classification or expansion raises grows no subtree, and the walk goes
+    on, since a level-by-level run may meet another failure first: on a
+    lower level, or on a smaller node of the same level.  The second item
     returned is the failure such a run meets first, as ((level, 0 for
     classify or 1 for expand, sort_key), exception), or None.
     """
@@ -515,6 +534,9 @@ def _walk(
         tally.classes[pc.kind] += 1
         if level == max_ones:
             continue
+        if keep is None and node.label == 0 and level:
+            tally.returns.setdefault(word, [0, 0])[node.parity < 0] += 1
+            continue
         try:
             groups = expand_node(node, pattern, pc, max_ones)
         except Exception as exc:
@@ -525,13 +547,37 @@ def _walk(
     return tallies, failure
 
 
-def _provenances(pattern: Pattern, level: int, word: str) -> tuple[tuple[str, ...], ...]:
-    """Lineages of every copy of `word` at `level`, in sort_key order.
+def copies_of(pattern: Pattern, word: str) -> list[TreeNode]:
+    """Every tree copy of `word` at its level, in sort_key order.
 
-    Walks the tree a second time.  It runs only once every lower level has
-    passed its checks, so the walk reaches every copy."""
+    Walks the whole tree down to the word's level and keeps only those
+    copies, so memory holds the walk's censuses, not every node.  The
+    levels it walks are not checked; run_levels to the same level checks
+    them."""
+    level = word.count("1")
     tallies, _ = _walk(pattern, level, lambda node: node.level == level and node.mw.word == word)
-    return tuple(node.provenance for node in sorted(tallies[level].kept, key=_SORT_KEY))
+    return sorted(tallies[level].kept, key=_SORT_KEY)
+
+
+def _splice(
+    tally: _LevelTally,
+    returns: dict[str, list[int]],
+    census: dict[str, tuple[int, int]],
+    classes: Counter[PathKind],
+) -> None:
+    """Count into `tally` the subtrees of one level's axis returns at the
+    depth of a whole-tree level with word census `census` and class tallies
+    `classes`: a return q with (qp, qm) copies in front of a word w with
+    (wp, wm) copies gives q + w qp*wp + qm*wm plus and qp*wm + qm*wp minus
+    copies, and every copy of a return repeats the level's classes."""
+    plus, minus = tally.plus, tally.minus
+    for q, (qp, qm) in returns.items():
+        for w, (wp, wm) in census.items():
+            word = q + w
+            plus[word] = plus.get(word, 0) + qp * wp + qm * wm
+            minus[word] = minus.get(word, 0) + qp * wm + qm * wp
+    copies = sum(qp + qm for qp, qm in returns.values())
+    tally.classes.update({kind: copies * count for kind, count in classes.items()})
 
 
 def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> RunResult:
@@ -545,11 +591,21 @@ def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> 
     every node and, with keep_nodes, the nodes sorted by (word, spans,
     parity).
 
-    Levels are checked in order once the walk ends.  At each, a word whose
-    net lies outside {0, 1} raises NetOutOfRange (the smallest such word,
-    with the lineages of all its copies); then a classification, and then
-    an expansion, that failed on a node of that level is raised, the
-    smallest node first.  Failures therefore surface exactly as a
+    The walk does not expand an axis return: a node q with label 0 at level
+    m >= 1 roots a copy of the whole tree behind q.word (see the module
+    docstring).  Levels are then built in order: level n is its walked
+    part plus, for every m in 1..n-1, the returns of level m each put in
+    front of every copy of level n - m, words, signs and classes alike.
+    With keep_nodes every node must be a real node, so the walk expands
+    every node and nothing is spliced.
+
+    Each level is checked before the next is built.  A word whose net lies
+    outside {0, 1} raises NetOutOfRange (the smallest such word, with the
+    lineages of all its copies, from a full walk to that level); then a
+    classification, and then an expansion, that failed on a node of that
+    level is raised, the smallest node first.  A failure below an axis
+    return repeats one of a lower level, so every failure of the first
+    failing level is met by the walk, and failures surface exactly as a
     level-by-level run would raise them.
 
     Each node is classified once: plain-append children inherit their class
@@ -561,13 +617,17 @@ def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> 
         raise ValueError("max_ones must be >= 0")
     tallies, failure = _walk(pattern, max_ones, (lambda node: True) if keep_nodes else None)
     reports: list[LevelReport] = []
-    for n in range(max_ones + 1):
-        tally, tallies[n] = tallies[n], None  # a level's tallies go once it is reported
+    for n, tally in enumerate(tallies):
         plus, minus = tally.plus, tally.minus
+        for m in range(1, n):
+            if tallies[m].returns:
+                _splice(tally, tallies[m].returns, reports[n - m].word_census, tallies[n - m].classes)
         word_census = {w: (plus.get(w, 0), minus.get(w, 0)) for w in sorted(plus.keys() | minus.keys())}
+        plus.clear()  # the report holds the census from here on
+        minus.clear()
         for word, (p, m) in word_census.items():
             if p - m not in (0, 1):
-                raise NetOutOfRange(word, n, p - m, _provenances(pattern, n, word))
+                raise NetOutOfRange(word, n, p - m, tuple(nd.provenance for nd in copies_of(pattern, word)))
         if failure is not None and failure[0][0] == n:
             raise failure[1]
         label_census: dict[int, tuple[int, int]] = {}

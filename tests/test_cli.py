@@ -11,8 +11,8 @@ import pytest
 
 from conftest import run_cli
 from patternforge import construction
-from patternforge.construction import NoMarkedPoint, NotDeltaError, NotGammaError
-from patternforge.words import UnclassifiablePath
+from patternforge.construction import NoMarkedPoint, NotDeltaError, NotGammaError, collect_copies, run_levels
+from patternforge.words import Pattern, UnclassifiablePath
 
 
 class TestGenerate:
@@ -171,6 +171,32 @@ class TestTrace:
     def test_rejects_non_binary_word(self):
         code, _, err = run_cli(["trace", "--j", "2", "--i", "1", "--word", "10x"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "j,i,word",
+        [
+            (2, 1, "110110"),
+            (2, 1, "0110110"),
+            (2, 1, "11011011011"),
+            (2, 1, "1000"),  # below the axis: no copy
+            (4, 1, "111100"),
+            (4, 1, "0111101"),
+            (4, 1, "1111011110"),
+        ],
+    )
+    def test_prints_the_copies_of_the_kept_run(self, j, i, word):
+        run = run_levels(Pattern(j, i), word.count("1"), keep_nodes=True)
+        want = "".join(
+            f"{'+' if nd.parity > 0 else '-'}\t{','.join(map(str, nd.mw.spans)) or '-'}\t{'>'.join(nd.provenance) or '-'}\n"
+            for nd in collect_copies(run, word)
+        )
+        assert run_cli(["trace", "--j", str(j), "--i", str(i), "--word", word]) == (0, want, "")
+
+    def test_checks_the_levels_up_to_the_word(self):
+        # (3,1) raises its sign-balance alarm on this word at level 7
+        code, out, err = run_cli(["trace", "--j", "3", "--i", "1", "--word", "0001011101110"])
+        assert (code, out) == (3, "")
+        assert "net multiplicity -1" in err
 
 
 class TestRender:

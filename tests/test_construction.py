@@ -25,7 +25,7 @@ from patternforge.construction import (
 )
 from patternforge import construction
 from patternforge.oracle import brute_force
-from patternforge.words import MarkedWord, PathKind, Pattern, classify, height
+from patternforge.words import MarkedWord, PathClass, PathKind, Pattern, classify, height
 
 P21 = Pattern(2, 1)
 P31 = Pattern(3, 1)
@@ -280,6 +280,30 @@ def fail_on(monkeypatch, should_fail):
     monkeypatch.setattr(construction, "expand_node", expand)
 
 
+def walked_nodes(result):
+    """The nodes of a keep_nodes run that run_levels' own walk meets, in
+    level and sort_key order: those with no axis return (a label-0 node
+    above the root) among their ancestors."""
+    by_lineage = {nd.provenance: nd for rep in result.levels for nd in rep.nodes}
+    return [
+        nd
+        for rep in result.levels
+        for nd in rep.nodes
+        if all(by_lineage[nd.provenance[:k]].label > 0 for k in range(1, len(nd.provenance)))
+    ]
+
+
+def report_fields(rep):
+    """Every LevelReport field but the nodes, in their order."""
+    return (
+        rep.level,
+        list(rep.label_census.items()),
+        list(rep.word_census.items()),
+        rep.survivors,
+        list(rep.class_counts.items()),
+    )
+
+
 class TestDepthFirstWalk:
     """run_levels walks the tree depth-first; its reports and its failures
     must be those of a level-by-level run."""
@@ -300,8 +324,10 @@ class TestDepthFirstWalk:
                 assert got.class_counts == classes
 
     def test_failure_waits_for_lower_levels(self, monkeypatch):
-        # the largest level-2 node and every level-4 node fail to expand
-        top = max(nd.sort_key for nd in cached_run(2, 1, 2, keep_nodes=True).levels[2].nodes)
+        # the largest expanded level-2 node and every level-4 node fail to
+        # expand (axis returns above the root are never expanded)
+        run = cached_run(2, 1, 2, keep_nodes=True)
+        top = max(nd.sort_key for nd in walked_nodes(run) if nd.level == 2 and nd.label > 0)
         fail_on(monkeypatch, lambda nd: nd.level == 4 or nd.sort_key == top)
         assert run_levels(P21, 2).levels[2].survivors  # level 2 is never expanded
         with pytest.raises(Boom) as err:
@@ -309,11 +335,11 @@ class TestDepthFirstWalk:
         assert err.value.args == (2, top)
 
     def test_smallest_node_of_a_level_fails_first(self, monkeypatch):
-        nodes = cached_run(2, 1, 3, keep_nodes=True).levels[3].nodes
+        nodes = [nd for nd in walked_nodes(cached_run(2, 1, 3, keep_nodes=True)) if nd.level == 3]
         fail_on(monkeypatch, lambda nd: nd.level == 3)
         with pytest.raises(Boom) as err:
             run_levels(P21, 5)
-        assert err.value.args == (3, nodes[0].sort_key)
+        assert err.value.args == (3, [nd for nd in nodes if nd.label > 0][0].sort_key)
         # a classification failure on the same level comes before any expansion
         last = [nd for nd in nodes if nd.path_class is None][-1]  # the largest node classify sees
         real_classify = construction.classify
@@ -355,6 +381,26 @@ class TestDepthFirstWalk:
         assert len(copies) >= 2
         assert err.provenances == tuple(c.provenance for c in sorted(copies, key=lambda c: c.sort_key))
 
+    def test_axis_returns_are_never_expanded(self, monkeypatch):
+        want = [report_fields(rep) for rep in cached_run(2, 1, 6).levels]
+        fail_on(monkeypatch, lambda nd: nd.label == 0 and nd.level > 0)
+        assert [report_fields(rep) for rep in run_levels(P21, 6).levels] == want
+        with pytest.raises(Boom):
+            run_levels(P21, 6, keep_nodes=True)  # the full walk expands them
+
+    @pytest.mark.parametrize("knob,value", [("_LINE_SLOPE", 1), ("_HIGHEST_FIRST", False)])
+    @pytest.mark.parametrize("j,i,max_ones", [(3, 1, 8), (4, 1, 9)])
+    def test_alarms_equal_those_of_the_full_walk(self, monkeypatch, knob, value, j, i, max_ones):
+        monkeypatch.setattr(construction, knob, value)
+        pattern = Pattern(j, i)
+        alarms = []
+        for keep_nodes in (False, True):
+            with pytest.raises(NetOutOfRange) as err:
+                run_levels(pattern, max_ones, keep_nodes=keep_nodes)
+            alarms.append((err.value.word, err.value.level, err.value.net, err.value.provenances))
+        spliced, full = alarms
+        assert spliced == full and len(full[3]) >= 2
+
     def test_memory_holds_words_not_copies(self):
         def peak(**kwargs):
             tracemalloc.start()
@@ -366,6 +412,88 @@ class TestDepthFirstWalk:
 
         # measured ratio: 0.21 (0.63 MB against 3.0 MB)
         assert peak() < 0.5 * peak(keep_nodes=True)
+
+
+def behind(q: TreeNode, node: TreeNode) -> TreeNode:
+    """`node`, a node of the root's tree, as it grows behind the axis return q:
+    q's word in front, spans and path class shifted past it, signs
+    multiplied, q's lineage in front."""
+    shift = len(q.mw.word)
+    return TreeNode(
+        MarkedWord(q.mw.word + node.mw.word, q.mw.spans + tuple(s + shift for s in node.mw.spans)),
+        node.label,
+        q.parity * node.parity,
+        q.level + node.level,
+        q.provenance + node.provenance,
+        shifted(node.path_class, shift),
+    )
+
+
+def shifted(pc: PathClass | None, shift: int) -> PathClass | None:
+    if pc is None:
+        return None
+    span = None if pc.qualifying_span is None else pc.qualifying_span + shift
+    return PathClass(pc.kind, pc.suffix_start + shift, span)
+
+
+class TestAxisReturns:
+    """An axis return q (label 0, level m >= 1) roots the root's tree again
+    behind q.word, which lets run_levels build q's subtree from the
+    censuses instead of walking it."""
+
+    ROOT = TreeNode(MarkedWord(""), 0, 1, 0)
+
+    @pytest.mark.parametrize("j,i", [(2, 1), (3, 1), (4, 1), (5, 2)])
+    def test_an_axis_return_expands_as_the_root_behind_its_word(self, j, i):
+        # (3,1) and (4,1) bring in gamma nodes and wide cut families
+        pattern = Pattern(j, i)
+        result = cached_run(j, i, 5, keep_nodes=True)
+        returns = [q for rep in result.levels[1:5] for q in rep.nodes if q.label == 0]
+        cut = 0
+        for q in returns:
+            shift = len(q.mw.word)
+            for depth in (1, j):
+                got = expand_node(q, pattern, max_level=q.level + depth)
+                want = expand_node(self.ROOT, pattern, max_level=depth)
+                assert list(got) == [q.level + level for level in want]
+                for level, kids in want.items():
+                    twins = got[q.level + level]
+                    assert twins == [behind(q, kid) for kid in kids], q.mw.to_text()
+                    for kid, twin in zip(kids, twins):
+                        assert twin.path_class == shifted(kid.path_class, shift)
+                        if kid.path_class is None:  # built by a cut: rescanned
+                            assert classify(twin.mw, pattern) == shifted(classify(kid.mw, pattern), shift)
+                            cut += 1
+        assert returns and cut
+
+    @pytest.mark.parametrize("j,i", [(2, 1), (3, 1), (4, 1), (5, 2)])
+    def test_an_axis_return_roots_the_whole_tree_behind_its_word(self, j, i):
+        result = cached_run(j, i, 5, keep_nodes=True)
+        for rep in result.levels[1:5]:
+            for q in (q for q in rep.nodes if q.label == 0):
+                lineage = len(q.provenance)
+                for n in range(q.level + 1, 6):
+                    below = [nd for nd in result.levels[n].nodes if nd.provenance[:lineage] == q.provenance]
+                    grown = [behind(q, nd) for nd in result.levels[n - q.level].nodes]
+                    assert below == grown
+                    assert [nd.path_class for nd in below] == [nd.path_class for nd in grown]
+
+    def test_the_walk_expands_only_nodes_no_axis_return_lies_above(self, monkeypatch):
+        full = run_levels(P21, 8, keep_nodes=True)
+        assert sum(len(rep.nodes) for rep in full.levels[:8]) == 28056  # what the full walk expands
+        want = [nd for nd in walked_nodes(full) if nd.level < 8 and (nd.level == 0 or nd.label > 0)]
+        seen = []
+        real = construction.expand_node
+
+        def spy(node, pattern, path_class=None, max_level=None):
+            seen.append(node)
+            return real(node, pattern, path_class, max_level)
+
+        monkeypatch.setattr(construction, "expand_node", spy)
+        spliced = run_levels(P21, 8)
+        assert sorted(seen, key=lambda nd: (nd.level, nd.sort_key)) == want
+        assert len(seen) == 2286
+        assert [report_fields(rep) for rep in spliced.levels] == [report_fields(rep) for rep in full.levels]
 
 
 class TestCarriedState:
