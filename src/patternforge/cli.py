@@ -10,8 +10,9 @@ generate, verify and trace run the level engine in one thread.  It walks
 the tree depth-first and raises a node's failure only once every lower
 level has passed, so exit code 3 reports the failure a level-by-level run
 would meet first (see construction.run_levels).  trace checks the levels
-up to its word the same way, then walks the whole tree to that level
-keeping only the word's copies.
+up to its word the same way, then walks them once more keeping only the
+nodes whose words are factors of its word, and grows the word's copies
+below each axis return from those (see construction.copies_of).
 """
 
 from __future__ import annotations

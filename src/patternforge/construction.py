@@ -48,8 +48,9 @@ signs multiplied by q's.  run_levels therefore walks only the nodes no
 axis return lies above, records each return's word by sign, and builds
 level n as its walked part plus, for each m in 1..n-1, the returns of
 level m concatenated with the full census of level n - m.  Runs that need
-the nodes themselves (keep_nodes, the copies of one word) walk the whole
-tree.
+the nodes themselves (keep_nodes, the copies of one word) build them the
+same way: each walked return of level m is put in front of every kept node
+of level n - m.
 
 Each node is classified once.  A plain-append child inherits its class
 (and suffix start) from its parent, since the appended steps never touch
@@ -61,7 +62,7 @@ that is built passes its label multiset check.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Callable
 
@@ -169,8 +170,8 @@ def _child(
     )
 
 
-def _node_class(node: TreeNode, pattern: Pattern, path_class: PathClass | None) -> PathClass:
-    return path_class or node.path_class or classify(node.mw, pattern)
+def _node_class(node: TreeNode, pattern: Pattern) -> PathClass:
+    return node.path_class or classify(node.mw, pattern)
 
 
 def _append_start(node: TreeNode, pc: PathClass) -> int:
@@ -213,7 +214,6 @@ class _Ladder:
     route_marked: bool
     h: int
     hstar: int | None
-    suffix_start: int
 
 
 def _suffix_peaks(mw: MarkedWord, pattern: Pattern, start: int) -> tuple[int, int | None]:
@@ -234,14 +234,14 @@ def _ladder(mw: MarkedWord, pattern: Pattern, pc: PathClass) -> _Ladder:
     if pc.kind is PathKind.GAMMA:
         raise NotDeltaError(mw.to_text())
     if pc.kind is PathKind.DELTA_ON_AXIS:
-        return _Ladder(0, None, False, 0, None, pc.suffix_start)
+        return _Ladder(0, None, False, 0, None)
     k = height(mw.word)
     h, hstar = _suffix_peaks(mw, pattern, pc.suffix_start)
     route_marked = hstar is not None and hstar - h > pattern.i
     d = (hstar - k - pattern.i) if route_marked else (h - k)
     ji = pattern.j - pattern.i
     a = 0 if d <= 0 else (d if d < ji else ji - 1)
-    return _Ladder(a, d, route_marked, h, hstar, pc.suffix_start)
+    return _Ladder(a, d, route_marked, h, hstar)
 
 
 def compute_a(mw: MarkedWord, pattern: Pattern) -> int:
@@ -331,10 +331,10 @@ def cut_and_paste(mw: MarkedWord, pattern: Pattern) -> MarkedWord:
 # --- productions -------------------------------------------------------------
 
 
-def delta_jump1(node: TreeNode, pattern: Pattern, path_class: PathClass | None = None) -> list[TreeNode]:
+def delta_jump1(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
     """The k+3 children one level deeper of a delta node with label k:
     appended children for labels 0..k+1 plus one repaired axis child."""
-    pc = _node_class(node, pattern, path_class)
+    pc = _node_class(node, pattern)
     if pc.kind is PathKind.GAMMA:
         raise NotDeltaError(node.mw.to_text())
     k = node.label
@@ -353,20 +353,14 @@ def delta_jump1(node: TreeNode, pattern: Pattern, path_class: PathClass | None =
     return out
 
 
-def delta_jumpj(
-    node: TreeNode,
-    pattern: Pattern,
-    a: int | None = None,
-    path_class: PathClass | None = None,
-) -> list[TreeNode]:
+def delta_jumpj(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
     """The jump-j children of a delta node: 1+k+j-i marked appends (labels
     k+j-i down to 0) plus, for each y in [k+a, k+j-i-1], one cut-and-pasted
     child and its longer-falling copies.  Verifies the label multiset.
     The marked appends carry their class; the cut children are rescanned."""
-    pc = _node_class(node, pattern, path_class)
+    pc = _node_class(node, pattern)
     ladder = _ladder(node.mw, pattern, pc)
-    if a is None:
-        a = ladder.a
+    a = ladder.a
     k = node.label
     ji = pattern.j - pattern.i
     word = node.mw.word
@@ -400,11 +394,9 @@ def delta_jumpj(
     return out
 
 
-def gamma_expand(
-    node: TreeNode, pattern: Pattern, path_class: PathClass | None = None
-) -> tuple[list[TreeNode], list[TreeNode]]:
+def gamma_expand(node: TreeNode, pattern: Pattern) -> tuple[list[TreeNode], list[TreeNode]]:
     """Gamma children: plain appends only, each label exactly once."""
-    pc = _node_class(node, pattern, path_class)
+    pc = _node_class(node, pattern)
     if pc.kind is not PathKind.GAMMA:
         raise NotGammaError(node.mw.to_text())
     return _appends(node, pattern, pc, 1, "gup"), _appends(node, pattern, pc, pattern.j, "gmark")
@@ -414,12 +406,7 @@ def _tree_order(node: TreeNode) -> tuple[str, tuple[int, ...]]:
     return node.mw.word, node.mw.spans
 
 
-def expand_node(
-    node: TreeNode,
-    pattern: Pattern,
-    path_class: PathClass | None = None,
-    max_level: int | None = None,
-) -> dict[int, list[TreeNode]]:
+def expand_node(node: TreeNode, pattern: Pattern, max_level: int | None = None) -> dict[int, list[TreeNode]]:
     """The children of one node, grouped by target level, each group sorted
     by (word, span starts).
 
@@ -427,7 +414,7 @@ def expand_node(
     built, so a jump-j family out of range skips its cuts and its label
     multiset check; every family that is built is checked.
     """
-    pc = _node_class(node, pattern, path_class)
+    pc = _node_class(node, pattern)
     if pc.kind is PathKind.GAMMA:
         productions = (
             (1, lambda: _appends(node, pattern, pc, 1, "gup")),
@@ -435,8 +422,8 @@ def expand_node(
         )
     else:
         productions = (
-            (1, lambda: delta_jump1(node, pattern, pc)),
-            (pattern.j, lambda: delta_jumpj(node, pattern, path_class=pc)),
+            (1, lambda: delta_jump1(node, pattern)),
+            (pattern.j, lambda: delta_jumpj(node, pattern)),
         )
     groups = {}
     for jump, build in productions:
@@ -496,15 +483,20 @@ def _walk(
     """Walk the tree depth-first from the root down to max_ones rise steps.
 
     Each node is tallied at its level, kept when keep(node) holds, then
-    classified and, below max_ones, expanded through expand_node.  With no
-    keep, an axis return (a label-0 node above the root) is tallied and
-    classified but not expanded; its word goes into its level's returns
-    instead, for run_levels to grow from the censuses.  A node whose
-    classification or expansion raises grows no subtree, and the walk goes
-    on, since a level-by-level run may meet another failure first: on a
-    lower level, or on a smaller node of the same level.  The second item
-    returned is the failure such a run meets first, as ((level, 0 for
-    classify or 1 for expand, sort_key), exception), or None.
+    classified and, below max_ones, expanded through expand_node.  An axis
+    return (a label-0 node above the root) is tallied and classified but not
+    expanded; its word goes into its level's returns instead, for
+    run_levels to grow from the censuses.  A node whose classification or
+    expansion raises grows no subtree, and the walk goes on, since a
+    level-by-level run may meet another failure first: on a lower level, or
+    on a smaller node of the same level.  The second item returned is the
+    failure such a run meets first, as ((level, 0 for classify or 1 for
+    expand, sort_key), exception), or None.
+
+    With keep, level n then also keeps, where keep holds, each kept walked
+    return of level m (1 <= m < n) put in front of each kept node of level
+    n - m: every tree node keep accepts, provided keep accepts every factor
+    of a word it accepts.
     """
     tallies = [_LevelTally() for _ in range(max_ones + 1)]
     failure = None
@@ -534,29 +526,50 @@ def _walk(
         tally.classes[pc.kind] += 1
         if level == max_ones:
             continue
-        if keep is None and node.label == 0 and level:
+        if node.label == 0 and level:
             tally.returns.setdefault(word, [0, 0])[node.parity < 0] += 1
             continue
+        if node.path_class is None:  # rescanned: hand the class on with the node
+            node = replace(node, path_class=pc)
         try:
-            groups = expand_node(node, pattern, pc, max_ones)
+            groups = expand_node(node, pattern, max_ones)
         except Exception as exc:
             fail((level, 1, node.sort_key), exc)
             continue
         for kids in groups.values():
             stack.extend(kids)
+    if keep is not None:
+        walked = [[q for q in tally.kept if q.label == 0] for tally in tallies]  # before any is grown
+        for n, tally in enumerate(tallies):
+            grown = (_behind(q, nd) for m in range(1, n) for q in walked[m] for nd in tallies[n - m].kept)
+            tally.kept.extend(filter(keep, grown))
     return tallies, failure
+
+
+def _behind(q: TreeNode, node: TreeNode) -> TreeNode:
+    """`node`, a node of the root's tree, as it grows behind the axis return
+    q: q's word in front, spans and class shifted past it, signs multiplied,
+    q's lineage in front."""
+    shift = len(q.mw.word)
+    pc = node.path_class
+    if pc is not None:
+        span = pc.qualifying_span
+        pc = PathClass(pc.kind, pc.suffix_start + shift, None if span is None else span + shift)
+    mw = MarkedWord(q.mw.word + node.mw.word, q.mw.spans + tuple(s + shift for s in node.mw.spans))
+    return TreeNode(mw, node.label, q.parity * node.parity, q.level + node.level, q.provenance + node.provenance, pc)
 
 
 def copies_of(pattern: Pattern, word: str) -> list[TreeNode]:
     """Every tree copy of `word` at its level, in sort_key order.
 
-    Walks the whole tree down to the word's level and keeps only those
-    copies, so memory holds the walk's censuses, not every node.  The
-    levels it walks are not checked; run_levels to the same level checks
-    them."""
+    Keeps only the nodes whose word is a factor of `word`: the copies below
+    an axis return are grown from those of the return and of a suffix, so
+    memory holds the walk's censuses and those factors, not every node.
+    The levels it walks are not checked; run_levels to the same level
+    checks them."""
     level = word.count("1")
-    tallies, _ = _walk(pattern, level, lambda node: node.level == level and node.mw.word == word)
-    return sorted(tallies[level].kept, key=_SORT_KEY)
+    tallies, _ = _walk(pattern, level, lambda node: node.mw.word in word)
+    return sorted((nd for nd in tallies[level].kept if nd.mw.word == word), key=_SORT_KEY)
 
 
 def _splice(
@@ -596,12 +609,13 @@ def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> 
     docstring).  Levels are then built in order: level n is its walked
     part plus, for every m in 1..n-1, the returns of level m each put in
     front of every copy of level n - m, words, signs and classes alike.
-    With keep_nodes every node must be a real node, so the walk expands
-    every node and nothing is spliced.
+    With keep_nodes the nodes below the returns are built the same way,
+    each walked return put in front of every node of level n - m, so the
+    walk and the checks are those of a run without keep_nodes.
 
     Each level is checked before the next is built.  A word whose net lies
     outside {0, 1} raises NetOutOfRange (the smallest such word, with the
-    lineages of all its copies, from a full walk to that level); then a
+    lineages of all its copies, from copies_of); then a
     classification, and then an expansion, that failed on a node of that
     level is raised, the smallest node first.  A failure below an axis
     return repeats one of a lower level, so every failure of the first

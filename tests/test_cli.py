@@ -67,7 +67,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("error", [UnclassifiablePath, NotDeltaError, NotGammaError, NoMarkedPoint])
     def test_production_failure_is_a_soundness_error(self, monkeypatch, error):
-        def expand(node, pattern, path_class=None, max_level=None):
+        def expand(node, pattern, max_level=None):
             raise error(node.mw.to_text())
 
         monkeypatch.setattr(construction, "expand_node", expand)

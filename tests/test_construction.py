@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -14,8 +15,10 @@ from patternforge.construction import (
     NotDeltaError,
     NotGammaError,
     TreeNode,
+    _behind,
     collect_copies,
     compute_a,
+    copies_of,
     cut_and_paste,
     delta_jump1,
     delta_jumpj,
@@ -25,7 +28,7 @@ from patternforge.construction import (
 )
 from patternforge import construction
 from patternforge.oracle import brute_force
-from patternforge.words import MarkedWord, PathClass, PathKind, Pattern, classify, height
+from patternforge.words import MarkedWord, PathKind, Pattern, classify, height
 
 P21 = Pattern(2, 1)
 P31 = Pattern(3, 1)
@@ -168,14 +171,14 @@ class TestProductionLaws:
                 pc = classify(node.mw, pattern)
                 k = node.label
                 if pc.is_delta:
-                    ones = Counter(c.label for c in delta_jump1(node, pattern, pc))
+                    ones = Counter(c.label for c in delta_jump1(node, pattern))
                     assert ones == Counter({0: 2} | {y: 1 for y in range(1, k + 2)})
                     a = compute_a(node.mw, pattern)
-                    js = Counter(c.label for c in delta_jumpj(node, pattern, path_class=pc))
+                    js = Counter(c.label for c in delta_jumpj(node, pattern))
                     assert js == {m: 1 + max(0, ji - a - m) for m in range(k + ji + 1)}
                     checked_delta += 1
                 else:
-                    one, jay = gamma_expand(node, pattern, pc)
+                    one, jay = gamma_expand(node, pattern)
                     assert Counter(c.label for c in one) == {y: 1 for y in range(k + 2)}
                     assert Counter(c.label for c in jay) == {y: 1 for y in range(k + ji + 1)}
                     checked_gamma += 1
@@ -259,7 +262,7 @@ def reference_levels(pattern: Pattern, max_ones: int):
             dict(Counter(pc.kind.value for pc in pcs)),
         )
         for nd, pc in zip(nodes, pcs if n < max_ones else ()):
-            for level, kids in expand_node(nd, pattern, pc, max_ones).items():
+            for level, kids in expand_node(replace(nd, path_class=pc), pattern, max_ones).items():
                 buckets.setdefault(level, []).extend(kids)
 
 
@@ -272,25 +275,43 @@ def fail_on(monkeypatch, should_fail):
     nodes should_fail picks."""
     real = construction.expand_node
 
-    def expand(node, pattern, path_class=None, max_level=None):
+    def expand(node, pattern, max_level=None):
         if should_fail(node):
             raise Boom(node.level, node.sort_key)
-        return real(node, pattern, path_class, max_level)
+        return real(node, pattern, max_level)
 
     monkeypatch.setattr(construction, "expand_node", expand)
 
 
-def walked_nodes(result):
-    """The nodes of a keep_nodes run that run_levels' own walk meets, in
-    level and sort_key order: those with no axis return (a label-0 node
+def reference_nodes(pattern: Pattern, max_ones: int) -> list[tuple[TreeNode, ...]]:
+    """The nodes of each level of the reference engine."""
+    return [nodes for nodes, *_ in reference_levels(pattern, max_ones)]
+
+
+def walked_nodes(levels: list[tuple[TreeNode, ...]]):
+    """The nodes of the reference's levels that run_levels' own walk meets,
+    in level and sort_key order: those with no axis return (a label-0 node
     above the root) among their ancestors."""
-    by_lineage = {nd.provenance: nd for rep in result.levels for nd in rep.nodes}
+    by_lineage = {nd.provenance: nd for nodes in levels for nd in nodes}
     return [
         nd
-        for rep in result.levels
-        for nd in rep.nodes
+        for nodes in levels
+        for nd in nodes
         if all(by_lineage[nd.provenance[:k]].label > 0 for k in range(1, len(nd.provenance)))
     ]
+
+
+def reference_alarm(pattern: Pattern, max_ones: int):
+    """(word, level, net, copies) of the NetOutOfRange a run to max_ones
+    raises, from the reference engine: the smallest word of the first level
+    with a net outside {0, 1}, and its copies in sort_key order."""
+    for nodes, _, words, _, _ in reference_levels(pattern, max_ones):
+        bad = sorted(w for w, (p, m) in words.items() if p - m not in (0, 1))
+        if bad:
+            copies = [nd for nd in nodes if nd.mw.word == bad[0]]
+            p, m = words[bad[0]]
+            return bad[0], copies[0].level, p - m, copies
+    return None
 
 
 def report_fields(rep):
@@ -302,6 +323,21 @@ def report_fields(rep):
         rep.survivors,
         list(rep.class_counts.items()),
     )
+
+
+def reference_fields(levels):
+    """report_fields of the reference's levels, class counts in PathKind
+    order as run_levels gives them."""
+    return [
+        (
+            n,
+            list(labels.items()),
+            list(words.items()),
+            survivors,
+            [(kind.value, classes[kind.value]) for kind in PathKind if kind.value in classes],
+        )
+        for n, (_, labels, words, survivors, classes) in enumerate(levels)
+    ]
 
 
 class TestDepthFirstWalk:
@@ -317,6 +353,7 @@ class TestDepthFirstWalk:
         assert len(kept.levels) == len(streamed.levels) == len(want) == 7
         for rep, plain, (nodes, labels, words, survivors, classes) in zip(kept.levels, streamed.levels, want):
             assert rep.nodes == nodes and plain.nodes is None
+            assert [nd.path_class for nd in rep.nodes] == [nd.path_class for nd in nodes]
             for got in (rep, plain):
                 assert got.label_census == labels
                 assert list(got.word_census.items()) == list(words.items())  # ascending words
@@ -326,8 +363,7 @@ class TestDepthFirstWalk:
     def test_failure_waits_for_lower_levels(self, monkeypatch):
         # the largest expanded level-2 node and every level-4 node fail to
         # expand (axis returns above the root are never expanded)
-        run = cached_run(2, 1, 2, keep_nodes=True)
-        top = max(nd.sort_key for nd in walked_nodes(run) if nd.level == 2 and nd.label > 0)
+        top = max(nd.sort_key for nd in walked_nodes(reference_nodes(P21, 2)) if nd.level == 2 and nd.label > 0)
         fail_on(monkeypatch, lambda nd: nd.level == 4 or nd.sort_key == top)
         assert run_levels(P21, 2).levels[2].survivors  # level 2 is never expanded
         with pytest.raises(Boom) as err:
@@ -335,7 +371,7 @@ class TestDepthFirstWalk:
         assert err.value.args == (2, top)
 
     def test_smallest_node_of_a_level_fails_first(self, monkeypatch):
-        nodes = [nd for nd in walked_nodes(cached_run(2, 1, 3, keep_nodes=True)) if nd.level == 3]
+        nodes = [nd for nd in walked_nodes(reference_nodes(P21, 3)) if nd.level == 3]
         fail_on(monkeypatch, lambda nd: nd.level == 3)
         with pytest.raises(Boom) as err:
             run_levels(P21, 5)
@@ -383,23 +419,29 @@ class TestDepthFirstWalk:
 
     def test_axis_returns_are_never_expanded(self, monkeypatch):
         want = [report_fields(rep) for rep in cached_run(2, 1, 6).levels]
+        nodes = reference_nodes(P21, 6)
         fail_on(monkeypatch, lambda nd: nd.label == 0 and nd.level > 0)
         assert [report_fields(rep) for rep in run_levels(P21, 6).levels] == want
-        with pytest.raises(Boom):
-            run_levels(P21, 6, keep_nodes=True)  # the full walk expands them
+        kept = run_levels(P21, 6, keep_nodes=True)  # their subtrees are grown, not walked
+        assert [report_fields(rep) for rep in kept.levels] == want
+        assert [rep.nodes for rep in kept.levels] == nodes
 
     @pytest.mark.parametrize("knob,value", [("_LINE_SLOPE", 1), ("_HIGHEST_FIRST", False)])
     @pytest.mark.parametrize("j,i,max_ones", [(3, 1, 8), (4, 1, 9)])
     def test_alarms_equal_those_of_the_full_walk(self, monkeypatch, knob, value, j, i, max_ones):
         monkeypatch.setattr(construction, knob, value)
         pattern = Pattern(j, i)
-        alarms = []
+        word, level, net, copies = reference_alarm(pattern, max_ones)
+        keys = {nd.provenance: nd.sort_key for nd in copies}
         for keep_nodes in (False, True):
             with pytest.raises(NetOutOfRange) as err:
                 run_levels(pattern, max_ones, keep_nodes=keep_nodes)
-            alarms.append((err.value.word, err.value.level, err.value.net, err.value.provenances))
-        spliced, full = alarms
-        assert spliced == full and len(full[3]) >= 2
+            assert (err.value.word, err.value.level, err.value.net) == (word, level, net)
+            # the lineages of the reference's copies, in sort_key order; a
+            # broken cut grows duplicate copies, whose order among
+            # themselves follows each engine's own traversal
+            assert sorted(err.value.provenances) == sorted(keys) and len(keys) >= 2
+            assert [keys[p] for p in err.value.provenances] == [nd.sort_key for nd in copies]
 
     def test_memory_holds_words_not_copies(self):
         def peak(**kwargs):
@@ -414,28 +456,6 @@ class TestDepthFirstWalk:
         assert peak() < 0.5 * peak(keep_nodes=True)
 
 
-def behind(q: TreeNode, node: TreeNode) -> TreeNode:
-    """`node`, a node of the root's tree, as it grows behind the axis return q:
-    q's word in front, spans and path class shifted past it, signs
-    multiplied, q's lineage in front."""
-    shift = len(q.mw.word)
-    return TreeNode(
-        MarkedWord(q.mw.word + node.mw.word, q.mw.spans + tuple(s + shift for s in node.mw.spans)),
-        node.label,
-        q.parity * node.parity,
-        q.level + node.level,
-        q.provenance + node.provenance,
-        shifted(node.path_class, shift),
-    )
-
-
-def shifted(pc: PathClass | None, shift: int) -> PathClass | None:
-    if pc is None:
-        return None
-    span = None if pc.qualifying_span is None else pc.qualifying_span + shift
-    return PathClass(pc.kind, pc.suffix_start + shift, span)
-
-
 class TestAxisReturns:
     """An axis return q (label 0, level m >= 1) roots the root's tree again
     behind q.word, which lets run_levels build q's subtree from the
@@ -447,53 +467,71 @@ class TestAxisReturns:
     def test_an_axis_return_expands_as_the_root_behind_its_word(self, j, i):
         # (3,1) and (4,1) bring in gamma nodes and wide cut families
         pattern = Pattern(j, i)
-        result = cached_run(j, i, 5, keep_nodes=True)
-        returns = [q for rep in result.levels[1:5] for q in rep.nodes if q.label == 0]
+        returns = [q for nodes in reference_nodes(pattern, 5)[1:5] for q in nodes if q.label == 0]
         cut = 0
         for q in returns:
-            shift = len(q.mw.word)
             for depth in (1, j):
                 got = expand_node(q, pattern, max_level=q.level + depth)
                 want = expand_node(self.ROOT, pattern, max_level=depth)
                 assert list(got) == [q.level + level for level in want]
                 for level, kids in want.items():
                     twins = got[q.level + level]
-                    assert twins == [behind(q, kid) for kid in kids], q.mw.to_text()
+                    assert twins == [_behind(q, kid) for kid in kids], q.mw.to_text()
                     for kid, twin in zip(kids, twins):
-                        assert twin.path_class == shifted(kid.path_class, shift)
+                        assert twin.path_class == _behind(q, kid).path_class
                         if kid.path_class is None:  # built by a cut: rescanned
-                            assert classify(twin.mw, pattern) == shifted(classify(kid.mw, pattern), shift)
+                            scanned = replace(kid, path_class=classify(kid.mw, pattern))
+                            assert classify(twin.mw, pattern) == _behind(q, scanned).path_class
                             cut += 1
         assert returns and cut
 
     @pytest.mark.parametrize("j,i", [(2, 1), (3, 1), (4, 1), (5, 2)])
     def test_an_axis_return_roots_the_whole_tree_behind_its_word(self, j, i):
-        result = cached_run(j, i, 5, keep_nodes=True)
-        for rep in result.levels[1:5]:
-            for q in (q for q in rep.nodes if q.label == 0):
+        levels = reference_nodes(Pattern(j, i), 5)
+        for nodes in levels[1:5]:
+            for q in (q for q in nodes if q.label == 0):
                 lineage = len(q.provenance)
                 for n in range(q.level + 1, 6):
-                    below = [nd for nd in result.levels[n].nodes if nd.provenance[:lineage] == q.provenance]
-                    grown = [behind(q, nd) for nd in result.levels[n - q.level].nodes]
+                    below = [nd for nd in levels[n] if nd.provenance[:lineage] == q.provenance]
+                    grown = [_behind(q, nd) for nd in levels[n - q.level]]
                     assert below == grown
                     assert [nd.path_class for nd in below] == [nd.path_class for nd in grown]
 
     def test_the_walk_expands_only_nodes_no_axis_return_lies_above(self, monkeypatch):
-        full = run_levels(P21, 8, keep_nodes=True)
-        assert sum(len(rep.nodes) for rep in full.levels[:8]) == 28056  # what the full walk expands
-        want = [nd for nd in walked_nodes(full) if nd.level < 8 and (nd.level == 0 or nd.label > 0)]
-        seen = []
+        full = list(reference_levels(P21, 8))
+        levels = [nodes for nodes, *_ in full]
+        assert sum(len(nodes) for nodes in levels[:8]) == 28056  # what a full walk expands
+        want = [nd for nd in walked_nodes(levels) if nd.level < 8 and (nd.level == 0 or nd.label > 0)]
         real = construction.expand_node
+        for keep_nodes in (False, True):  # keeping the nodes walks no further
+            seen = []
 
-        def spy(node, pattern, path_class=None, max_level=None):
-            seen.append(node)
-            return real(node, pattern, path_class, max_level)
+            def spy(node, pattern, max_level=None):
+                seen.append(node)
+                return real(node, pattern, max_level)
 
-        monkeypatch.setattr(construction, "expand_node", spy)
-        spliced = run_levels(P21, 8)
-        assert sorted(seen, key=lambda nd: (nd.level, nd.sort_key)) == want
-        assert len(seen) == 2286
-        assert [report_fields(rep) for rep in spliced.levels] == [report_fields(rep) for rep in full.levels]
+            monkeypatch.setattr(construction, "expand_node", spy)
+            spliced = run_levels(P21, 8, keep_nodes=keep_nodes)
+            assert sorted(seen, key=lambda nd: (nd.level, nd.sort_key)) == want
+            assert len(seen) == 2286
+            assert [report_fields(rep) for rep in spliced.levels] == reference_fields(full)
+
+    @pytest.mark.parametrize(
+        "j,i,copies",
+        [
+            # one axis return in front, several, none, below the axis
+            (2, 1, {"0110110": 4, "11011011011": 8, "0101101011": 2, "1000": 0}),
+            (3, 1, {"0001011101110": 3}),  # the level-7 alarm word
+        ],
+    )
+    def test_copies_of_a_word_equal_the_references(self, j, i, copies):
+        pattern = Pattern(j, i)
+        levels = reference_nodes(pattern, max(w.count("1") for w in copies))
+        for word, count in copies.items():
+            want = [nd for nd in levels[word.count("1")] if nd.mw.word == word]
+            got = copies_of(pattern, word)
+            assert got == want and [nd.path_class for nd in got] == [nd.path_class for nd in want]
+            assert len(got) == count
 
 
 class TestCarriedState:
@@ -523,18 +561,17 @@ class TestCarriedState:
         result = cached_run(j, i, max_ones, keep_nodes=True)
         for rep in result.levels:
             for node in rep.nodes:
-                pc = classify(node.mw, pattern)
-                full = expand_node(node, pattern, pc)
+                full = expand_node(node, pattern)
                 for bound in range(node.level, node.level + j + 1):
-                    capped = expand_node(node, pattern, pc, bound)
+                    capped = expand_node(node, pattern, bound)
                     assert capped == {lvl: kids for lvl, kids in full.items() if lvl <= bound}
 
     def test_run_levels_builds_no_child_past_max_ones(self, monkeypatch):
         built = []
         real_expand = construction.expand_node
 
-        def spy(node, pattern, path_class=None, max_level=None):
-            groups = real_expand(node, pattern, path_class, max_level)
+        def spy(node, pattern, max_level=None):
+            groups = real_expand(node, pattern, max_level)
             built.extend(lvl for lvl, kids in groups.items() for _ in kids)
             return groups
 
