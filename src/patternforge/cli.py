@@ -9,10 +9,10 @@ production invariant (label, parity, height after a cut, pinned cut point).
 generate, verify and trace run the level engine in one thread.  It walks
 the tree depth-first and raises a node's failure only once every lower
 level has passed, so exit code 3 reports the failure a level-by-level run
-would meet first (see construction.run_levels).  trace checks the levels
-up to its word the same way, then walks them once more keeping only the
-nodes whose words are factors of its word, and grows the word's copies
-below each axis return from those (see construction.copies_of).
+would meet first (see construction.run_levels).  trace walks the levels up
+to its word once and checks them the same way, keeping only the nodes
+whose words are factors of its word, and grows the word's copies below
+each axis return from those (see construction.copies_of).
 """
 
 from __future__ import annotations
@@ -125,8 +125,7 @@ def cmd_trace(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     word = args.word
     if set(word) - {"0", "1"}:
         parser.error(f"word must be over 0/1, got {word!r}")
-    run_levels(pattern, word.count("1"))  # raises what a run to the word's level raises
-    for node in copies_of(pattern, word):
+    for node in copies_of(pattern, word):  # raises what a run to the word's level raises
         sign = "+" if node.parity > 0 else "-"
         spans = ",".join(str(s) for s in node.mw.spans) or "-"
         prov = ">".join(node.provenance) or "-"

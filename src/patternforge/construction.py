@@ -50,7 +50,11 @@ level n as its walked part plus, for each m in 1..n-1, the returns of
 level m concatenated with the full census of level n - m.  Runs that need
 the nodes themselves (keep_nodes, the copies of one word) build them the
 same way: each walked return of level m is put in front of every kept node
-of level n - m.
+of level n - m.  They differ from a census-only run in the nodes they keep
+and in nothing else: copies_of is a run to its word's level, with the same
+walk, splice and level checks, that keeps the factors of its word.  Only
+the lineages of a NetOutOfRange come from a second walk, which checks
+nothing and runs only once a level has failed.
 
 Each node is classified once.  A plain-append child inherits its class
 (and suffix start) from its parent, since the appended steps never touch
@@ -63,7 +67,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 from typing import Callable
 
 from .words import (
@@ -343,7 +346,7 @@ def delta_jump1(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
     grown = MarkedWord(word + "1" + "0" * k, spans)
     t0 = _append_start(node, pc)  # rightmost eligible axis point of grown
     if any(s >= t0 for s in spans):
-        repaired = cut_and_paste(grown, pattern)
+        repaired = _apply_cut(grown, pattern, _cut_points(grown, pattern, t0))
         out.append(_child(node, repaired.word, repaired.spans, 0, 1, "up:axis"))
     else:
         # the suffix is span-free and above the axis; flipped, it returns
@@ -412,9 +415,12 @@ def expand_node(node: TreeNode, pattern: Pattern, max_level: int | None = None) 
 
     A group whose level lies past max_level (None: no bound) is never
     built, so a jump-j family out of range skips its cuts and its label
-    multiset check; every family that is built is checked.
+    multiset check; every family that is built is checked.  A node without
+    a class is classified here, once, and handed on to its productions.
     """
-    pc = _node_class(node, pattern)
+    if node.path_class is None:
+        node = replace(node, path_class=classify(node.mw, pattern))
+    pc = node.path_class
     if pc.kind is PathKind.GAMMA:
         productions = (
             (1, lambda: _appends(node, pattern, pc, 1, "gup")),
@@ -474,7 +480,10 @@ class _LevelTally:
     returns: dict[str, list[int]] = field(default_factory=dict)
 
 
-_SORT_KEY = attrgetter("sort_key")
+def _node_order(node: TreeNode) -> tuple[tuple[str, tuple[int, ...], int], tuple[str, ...]]:
+    """The order of kept nodes and of a word's copies: sort_key, then
+    lineage, so copies that agree on word, spans and sign have one order."""
+    return node.sort_key, node.provenance
 
 
 def _walk(
@@ -486,7 +495,7 @@ def _walk(
     classified and, below max_ones, expanded through expand_node.  An axis
     return (a label-0 node above the root) is tallied and classified but not
     expanded; its word goes into its level's returns instead, for
-    run_levels to grow from the censuses.  A node whose classification or
+    _run to grow from the censuses.  A node whose classification or
     expansion raises grows no subtree, and the walk goes on, since a
     level-by-level run may meet another failure first: on a lower level, or
     on a smaller node of the same level.  The second item returned is the
@@ -559,17 +568,14 @@ def _behind(q: TreeNode, node: TreeNode) -> TreeNode:
     return TreeNode(mw, node.label, q.parity * node.parity, q.level + node.level, q.provenance + node.provenance, pc)
 
 
-def copies_of(pattern: Pattern, word: str) -> list[TreeNode]:
-    """Every tree copy of `word` at its level, in sort_key order.
-
-    Keeps only the nodes whose word is a factor of `word`: the copies below
-    an axis return are grown from those of the return and of a suffix, so
-    memory holds the walk's censuses and those factors, not every node.
-    The levels it walks are not checked; run_levels to the same level
-    checks them."""
+def _lineages(pattern: Pattern, word: str) -> tuple[tuple[str, ...], ...]:
+    """The lineages of every tree copy of `word`, in node order, from a
+    walk to its level that keeps only the factors of `word` and checks no
+    level: NetOutOfRange carries them once the word's level has failed."""
     level = word.count("1")
     tallies, _ = _walk(pattern, level, lambda node: node.mw.word in word)
-    return sorted((nd for nd in tallies[level].kept if nd.mw.word == word), key=_SORT_KEY)
+    copies = sorted((nd for nd in tallies[level].kept if nd.mw.word == word), key=_node_order)
+    return tuple(nd.provenance for nd in copies)
 
 
 def _splice(
@@ -602,7 +608,7 @@ def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> 
     Per level the report carries the label census, the word census in
     ascending word order, the surviving words (net 1), the class tallies of
     every node and, with keep_nodes, the nodes sorted by (word, spans,
-    parity).
+    parity, lineage).
 
     The walk does not expand an axis return: a node q with label 0 at level
     m >= 1 roots a copy of the whole tree behind q.word (see the module
@@ -615,7 +621,8 @@ def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> 
 
     Each level is checked before the next is built.  A word whose net lies
     outside {0, 1} raises NetOutOfRange (the smallest such word, with the
-    lineages of all its copies, from copies_of); then a
+    lineages of all its copies in node order, from a second walk that
+    checks nothing and keeps only that word's factors); then a
     classification, and then an expansion, that failed on a node of that
     level is raised, the smallest node first.  A failure below an axis
     return repeats one of a lower level, so every failure of the first
@@ -629,7 +636,14 @@ def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> 
     """
     if max_ones < 0:
         raise ValueError("max_ones must be >= 0")
-    tallies, failure = _walk(pattern, max_ones, (lambda node: True) if keep_nodes else None)
+    return _run(pattern, max_ones, (lambda node: True) if keep_nodes else None)
+
+
+def _run(pattern: Pattern, max_ones: int, keep: Callable[[TreeNode], bool] | None) -> RunResult:
+    """run_levels and copies_of: one walk to max_ones (see _walk), then
+    each level spliced, checked and reported in turn, with the nodes keep
+    accepts in node order whenever keep is given."""
+    tallies, failure = _walk(pattern, max_ones, keep)
     reports: list[LevelReport] = []
     for n, tally in enumerate(tallies):
         plus, minus = tally.plus, tally.minus
@@ -641,7 +655,7 @@ def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> 
         minus.clear()
         for word, (p, m) in word_census.items():
             if p - m not in (0, 1):
-                raise NetOutOfRange(word, n, p - m, tuple(nd.provenance for nd in copies_of(pattern, word)))
+                raise NetOutOfRange(word, n, p - m, _lineages(pattern, word))
         if failure is not None and failure[0][0] == n:
             raise failure[1]
         label_census: dict[int, tuple[int, int]] = {}
@@ -659,15 +673,15 @@ def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> 
                 word_census,
                 survivors,
                 {kind.value: tally.classes[kind] for kind in PathKind if kind in tally.classes},
-                tuple(sorted(tally.kept, key=_SORT_KEY)) if keep_nodes else None,
+                tuple(sorted(tally.kept, key=_node_order)) if keep is not None else None,
             )
         )
     return RunResult(pattern, max_ones, reports)
 
 
 def collect_copies(result: RunResult, word: str) -> list[TreeNode]:
-    """Every tree node carrying `word` at its level, in sorted node order.
-    The run must have been made with keep_nodes=True."""
+    """Every tree node carrying `word` at its level, in node order (sort_key,
+    then lineage).  The run must have been made with keep_nodes=True."""
     level = word.count("1")
     if level > result.max_ones:
         raise ValueError(f"word has {level} rises but the run stops at {result.max_ones}")
@@ -675,3 +689,15 @@ def collect_copies(result: RunResult, word: str) -> list[TreeNode]:
     if nodes is None:
         raise ValueError("run_levels(..., keep_nodes=True) required for collect_copies")
     return [nd for nd in nodes if nd.mw.word == word]
+
+
+def copies_of(pattern: Pattern, word: str) -> list[TreeNode]:
+    """Every tree copy of `word` at its level, in node order (sort_key,
+    then lineage), from a run to that level: the levels are walked once
+    and checked as run_levels checks them, so a failing level raises.
+
+    The run keeps only the nodes whose word is a factor of `word`: the
+    copies below an axis return are grown from those of the return and of
+    a suffix, so memory holds the walk's censuses and those factors, not
+    every node."""
+    return collect_copies(_run(pattern, word.count("1"), lambda node: node.mw.word in word), word)

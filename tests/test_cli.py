@@ -192,6 +192,19 @@ class TestTrace:
         )
         assert run_cli(["trace", "--j", str(j), "--i", str(i), "--word", word]) == (0, want, "")
 
+    def test_walks_the_tree_once(self, monkeypatch):
+        walks = []
+        real = construction._walk
+
+        def spy(*args):
+            walks.append(args[:2])
+            return real(*args)
+
+        monkeypatch.setattr(construction, "_walk", spy)
+        code, out, _ = run_cli(["trace", "--j", "2", "--i", "1", "--word", "0110110"])
+        assert (code, len(out.splitlines())) == (0, 4)
+        assert walks == [(Pattern(2, 1), 4)]
+
     def test_checks_the_levels_up_to_the_word(self):
         # (3,1) raises its sign-balance alarm on this word at level 7
         code, out, err = run_cli(["trace", "--j", "3", "--i", "1", "--word", "0001011101110"])

@@ -242,12 +242,12 @@ class TestRunLevels:
 
 
 def reference_levels(pattern: Pattern, max_ones: int):
-    """Level-synchronous reference engine: whole levels in sorted node
-    order.  Yields (nodes, label census, word census, survivors, class
-    counts) per level, with no sign-balance check."""
+    """Level-synchronous reference engine: whole levels in node order,
+    (sort_key, provenance).  Yields (nodes, label census, word census,
+    survivors, class counts) per level, with no sign-balance check."""
     buckets = {0: [TreeNode(MarkedWord(""), 0, 1, 0)]}
     for n in range(max_ones + 1):
-        nodes = sorted(buckets.pop(n, []), key=lambda nd: nd.sort_key)
+        nodes = sorted(buckets.pop(n, []), key=lambda nd: (nd.sort_key, nd.provenance))
         labels, words = {}, {}
         for nd in nodes:
             slot = 0 if nd.parity > 0 else 1
@@ -301,11 +301,11 @@ def walked_nodes(levels: list[tuple[TreeNode, ...]]):
     ]
 
 
-def reference_alarm(pattern: Pattern, max_ones: int):
-    """(word, level, net, copies) of the NetOutOfRange a run to max_ones
-    raises, from the reference engine: the smallest word of the first level
-    with a net outside {0, 1}, and its copies in sort_key order."""
-    for nodes, _, words, _, _ in reference_levels(pattern, max_ones):
+def reference_alarm(levels):
+    """(word, level, net, copies) of the NetOutOfRange a run over the
+    reference engine's `levels` raises: the smallest word of the first
+    level with a net outside {0, 1}, and its copies in node order."""
+    for nodes, _, words, _, _ in levels:
         bad = sorted(w for w, (p, m) in words.items() if p - m not in (0, 1))
         if bad:
             copies = [nd for nd in nodes if nd.mw.word == bad[0]]
@@ -431,17 +431,13 @@ class TestDepthFirstWalk:
     def test_alarms_equal_those_of_the_full_walk(self, monkeypatch, knob, value, j, i, max_ones):
         monkeypatch.setattr(construction, knob, value)
         pattern = Pattern(j, i)
-        word, level, net, copies = reference_alarm(pattern, max_ones)
-        keys = {nd.provenance: nd.sort_key for nd in copies}
+        word, level, net, copies = reference_alarm(reference_levels(pattern, max_ones))
         for keep_nodes in (False, True):
             with pytest.raises(NetOutOfRange) as err:
                 run_levels(pattern, max_ones, keep_nodes=keep_nodes)
             assert (err.value.word, err.value.level, err.value.net) == (word, level, net)
-            # the lineages of the reference's copies, in sort_key order; a
-            # broken cut grows duplicate copies, whose order among
-            # themselves follows each engine's own traversal
-            assert sorted(err.value.provenances) == sorted(keys) and len(keys) >= 2
-            assert [keys[p] for p in err.value.provenances] == [nd.sort_key for nd in copies]
+            # the lineages of the reference's copies, in node order
+            assert err.value.provenances == tuple(nd.provenance for nd in copies) and len(copies) >= 2
 
     def test_memory_holds_words_not_copies(self):
         def peak(**kwargs):
@@ -521,17 +517,43 @@ class TestAxisReturns:
         [
             # one axis return in front, several, none, below the axis
             (2, 1, {"0110110": 4, "11011011011": 8, "0101101011": 2, "1000": 0}),
-            (3, 1, {"0001011101110": 3}),  # the level-7 alarm word
+            (3, 1, {"0001011101110": 3}),  # the level-7 alarm word: copies_of raises it
         ],
     )
     def test_copies_of_a_word_equal_the_references(self, j, i, copies):
         pattern = Pattern(j, i)
-        levels = reference_nodes(pattern, max(w.count("1") for w in copies))
+        full = list(reference_levels(pattern, max(w.count("1") for w in copies)))
+        levels = [nodes for nodes, *_ in full]
+        alarm = reference_alarm(full)
         for word, count in copies.items():
             want = [nd for nd in levels[word.count("1")] if nd.mw.word == word]
+            assert len(want) == count
+            if alarm is not None and alarm[1] <= word.count("1"):
+                # copies_of checks the levels it walks: a failing level raises
+                with pytest.raises(NetOutOfRange) as err:
+                    copies_of(pattern, word)
+                assert (err.value.word, err.value.level, err.value.net) == alarm[:3]
+                assert err.value.provenances == tuple(nd.provenance for nd in alarm[3])
+                continue
             got = copies_of(pattern, word)
             assert got == want and [nd.path_class for nd in got] == [nd.path_class for nd in want]
-            assert len(got) == count
+
+    def test_copies_of_walks_the_tree_once(self, monkeypatch):
+        walks = []
+        real = construction._walk
+
+        def spy(pattern, max_ones, *args):
+            walks.append((pattern, max_ones))
+            return real(pattern, max_ones, *args)
+
+        monkeypatch.setattr(construction, "_walk", spy)
+        assert len(copies_of(P21, "11011011011")) == 8
+        assert walks == [(P21, 8)]
+        # a failing level adds the lineage walk behind NetOutOfRange
+        walks.clear()
+        with pytest.raises(NetOutOfRange):
+            copies_of(P31, "0001011101110")
+        assert walks == [(P31, 7), (P31, 7)]
 
 
 class TestCarriedState:
@@ -565,6 +587,20 @@ class TestCarriedState:
                 for bound in range(node.level, node.level + j + 1):
                     capped = expand_node(node, pattern, bound)
                     assert capped == {lvl: kids for lvl, kids in full.items() if lvl <= bound}
+
+    @pytest.mark.parametrize("node", [TreeNode(MarkedWord("11"), 2, 1, 2), TreeNode(MarkedWord("10"), 0, 1, 1)])
+    def test_expand_node_classifies_a_node_without_a_class_once(self, monkeypatch, node):
+        seen = []
+        real = construction.classify
+
+        def spy(mw, pattern):
+            seen.append(mw)
+            return real(mw, pattern)
+
+        monkeypatch.setattr(construction, "classify", spy)
+        groups = expand_node(node, P21)
+        assert seen == [node.mw]
+        assert groups == expand_node(replace(node, path_class=real(node.mw, P21)), P21)
 
     def test_run_levels_builds_no_child_past_max_ones(self, monkeypatch):
         built = []
