@@ -1,111 +1,18 @@
 """patternforge: binary words avoiding the factor 1^j 0^i (0 < i < j),
 built level by level with marked-pattern bookkeeping, checked against
-independent counting oracles, plus a small succession-rule engine."""
+independent counting oracles, plus a small succession-rule engine.
+
+The package exports what each module lists in its own __all__."""
 
 __version__ = "0.1.0"
 
-from .words import (
-    MarkedWord,
-    PathClass,
-    PathKind,
-    Pattern,
-    UnclassifiablePath,
-    classify,
-    complement,
-    height,
-    occurrences,
-    profile,
-    rightmost_suffix,
-)
-from .construction import (
-    InvariantViolation,
-    LevelReport,
-    MultiplicityMismatch,
-    NetOutOfRange,
-    NoMarkedPoint,
-    NotDeltaError,
-    NotGammaError,
-    RunResult,
-    SpanSplitError,
-    TreeNode,
-    collect_copies,
-    compute_a,
-    cut_and_paste,
-    delta_jump1,
-    delta_jumpj,
-    expand_node,
-    gamma_expand,
-    run_levels,
-)
-from .oracle import (
-    BudgetExceeded,
-    FactorAutomaton,
-    brute_force,
-    build_automaton,
-    count_avoiding,
-    level_count,
-)
-from .succession import (
-    Atom,
-    CensusDiff,
-    LevelCensus,
-    NegativeLabel,
-    Production,
-    RuleParseError,
-    RuleSpec,
-    census_equal,
-    expand_census,
-    parse_rule,
-)
-from .verify import LevelVerdict, VerifyReport, verify_pattern
+from . import construction, oracle, succession, verify, words
+from .words import *
+from .construction import *
+from .oracle import *
+from .succession import *
+from .verify import *
 
-__all__ = [
-    "Pattern",
-    "MarkedWord",
-    "PathClass",
-    "PathKind",
-    "UnclassifiablePath",
-    "profile",
-    "height",
-    "occurrences",
-    "complement",
-    "rightmost_suffix",
-    "classify",
-    "TreeNode",
-    "LevelReport",
-    "RunResult",
-    "NotDeltaError",
-    "NotGammaError",
-    "NoMarkedPoint",
-    "SpanSplitError",
-    "MultiplicityMismatch",
-    "NetOutOfRange",
-    "InvariantViolation",
-    "compute_a",
-    "cut_and_paste",
-    "delta_jump1",
-    "delta_jumpj",
-    "gamma_expand",
-    "expand_node",
-    "run_levels",
-    "collect_copies",
-    "BudgetExceeded",
-    "FactorAutomaton",
-    "build_automaton",
-    "brute_force",
-    "count_avoiding",
-    "level_count",
-    "RuleSpec",
-    "Production",
-    "Atom",
-    "LevelCensus",
-    "CensusDiff",
-    "RuleParseError",
-    "NegativeLabel",
-    "parse_rule",
-    "expand_census",
-    "census_equal",
-    "LevelVerdict",
-    "VerifyReport",
-    "verify_pattern",
-]
+__all__ = list(
+    dict.fromkeys(words.__all__ + construction.__all__ + oracle.__all__ + succession.__all__ + verify.__all__)
+)

@@ -1,10 +1,14 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error or
-enumeration budget exceeded, 3 internal soundness violation: a net outside
-{0, 1}, a child multiset off its formula, a cut that splits a span, a
-node the productions cannot classify or expand, or a child that breaks a
-production invariant (label, parity, height after a cut, pinned cut point).
+Exit codes: 0 success, 1 verification mismatch, 2 usage error, enumeration
+budget exceeded or bad rule file, 3 internal soundness violation.  A rule
+file that is not UTF-8, does not parse, or yields a negative label or
+multiplicity is reported as `{file}: {message}`.  verify
+checks the enumeration budget of every level before it builds the tree.
+Exit code 3 is any words.InvariantViolation: a net outside {0, 1}, a child
+multiset off its formula, a cut that splits a span, a node the productions
+cannot classify or expand, or a child that breaks a production invariant
+(label, parity, height after a cut, pinned cut point).
 
 generate, verify and trace run the level engine in one thread.  It walks
 the tree depth-first and raises a node's failure only once every lower
@@ -21,21 +25,11 @@ import argparse
 import json
 import sys
 
-from .construction import (
-    InvariantViolation,
-    MultiplicityMismatch,
-    NetOutOfRange,
-    NoMarkedPoint,
-    NotDeltaError,
-    NotGammaError,
-    SpanSplitError,
-    copies_of,
-    run_levels,
-)
+from .construction import copies_of, run_levels
 from .oracle import DEFAULT_BUDGET, BudgetExceeded, count_avoiding
-from .succession import RuleParseError, expand_census, parse_rule
+from .succession import NegativeLabel, RuleParseError, expand_census, parse_rule
 from .verify import verify_pattern
-from .words import MarkedWord, Pattern, UnclassifiablePath, profile
+from .words import InvariantViolation, MarkedWord, Pattern, profile
 from . import __version__
 
 
@@ -102,15 +96,13 @@ def cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 def cmd_rule(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
+            censuses = expand_census(parse_rule(fh.read()), args.levels)
     except OSError as exc:
         parser.error(str(exc))
-    try:
-        rule = parse_rule(text)
-    except RuleParseError as exc:
+    except (UnicodeDecodeError, RuleParseError, NegativeLabel) as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 2
-    for census in expand_census(rule, args.levels):
+    for census in censuses:
         plus_total = minus_total = 0
         for label, (p, m) in sorted(census.counts.items()):
             plus_total += p
@@ -143,7 +135,7 @@ def _span_extent(word: str, start: int) -> int:
     while pos < len(word) and word[pos] == "0":
         zeros += 1
         pos += 1
-    if ones == 0 or zeros == 0:
+    if start < 0 or ones == 0 or zeros == 0:
         raise ValueError(f"no factor shape at span start {start}")
     return ones + zeros
 
@@ -226,16 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
-    except (
-        InvariantViolation,
-        NetOutOfRange,
-        MultiplicityMismatch,
-        SpanSplitError,
-        NoMarkedPoint,
-        NotDeltaError,
-        NotGammaError,
-        UnclassifiablePath,
-    ) as exc:
+    except InvariantViolation as exc:
         print(f"internal soundness violation: {exc}", file=sys.stderr)
         return 3
 

@@ -70,6 +70,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .words import (
+    InvariantViolation,
     MarkedWord,
     PathClass,
     PathKind,
@@ -104,33 +105,27 @@ __all__ = [
 ]
 
 
-class NotDeltaError(Exception):
+class NotDeltaError(InvariantViolation):
     pass
 
 
-class NotGammaError(Exception):
+class NotGammaError(InvariantViolation):
     pass
 
 
-class NoMarkedPoint(Exception):
+class NoMarkedPoint(InvariantViolation):
     pass
 
 
-class SpanSplitError(Exception):
+class SpanSplitError(InvariantViolation):
     pass
 
 
-class MultiplicityMismatch(Exception):
+class MultiplicityMismatch(InvariantViolation):
     pass
 
 
-class InvariantViolation(Exception):
-    """A node breaks an invariant its production guarantees (label, parity,
-    height after a cut, or a pinned cut point).  Raised, not asserted, so
-    the check survives ``python -O``."""
-
-
-class NetOutOfRange(Exception):
+class NetOutOfRange(InvariantViolation):
     def __init__(self, word: str, level: int, net: int, provenances: tuple[tuple[str, ...], ...]):
         super().__init__(f"word {word!r} at level {level} has net multiplicity {net}")
         self.word = word
@@ -213,10 +208,7 @@ def _appends(node: TreeNode, pattern: Pattern, pc: PathClass, jump: int, tag: st
 @dataclass(frozen=True, slots=True)
 class _Ladder:
     a: int
-    d: int | None  # ladder input; None when the word ends on the axis
-    route_marked: bool
-    h: int
-    hstar: int | None
+    pin: int | None  # the ordinate z must sit at; None when z must equal t
 
 
 def _suffix_peaks(mw: MarkedWord, pattern: Pattern, start: int) -> tuple[int, int | None]:
@@ -237,14 +229,15 @@ def _ladder(mw: MarkedWord, pattern: Pattern, pc: PathClass) -> _Ladder:
     if pc.kind is PathKind.GAMMA:
         raise NotDeltaError(mw.to_text())
     if pc.kind is PathKind.DELTA_ON_AXIS:
-        return _Ladder(0, None, False, 0, None)
+        return _Ladder(0, None)
     k = height(mw.word)
     h, hstar = _suffix_peaks(mw, pattern, pc.suffix_start)
     route_marked = hstar is not None and hstar - h > pattern.i
-    d = (hstar - k - pattern.i) if route_marked else (h - k)
+    top = hstar - pattern.i if route_marked else h
     ji = pattern.j - pattern.i
-    a = 0 if d <= 0 else (d if d < ji else ji - 1)
-    return _Ladder(a, d, route_marked, h, hstar)
+    if top - k < ji:
+        return _Ladder(max(top - k, 0), None)
+    return _Ladder(ji - 1, top)
 
 
 def compute_a(mw: MarkedWord, pattern: Pattern) -> int:
@@ -262,6 +255,7 @@ class _CutPoints:
     suffix_start: int
     t: int
     z: int
+    z_ordinate: int
 
 
 # Arbitration knobs for the cut geometry; the differential suite (verify
@@ -298,7 +292,7 @@ def _cut_points(mw: MarkedWord, pattern: Pattern, t0: int | None = None) -> _Cut
         raise InvariantViolation(f"no cut point z in {mw.to_text()}")
     if best in inside:
         raise SpanSplitError(f"z at {best} inside a span of {mw.to_text()}")
-    return _CutPoints(t0, t, best)
+    return _CutPoints(t0, t, best, best_y)
 
 
 def _apply_cut(mw: MarkedWord, pattern: Pattern, pts: _CutPoints) -> MarkedWord:
@@ -374,13 +368,11 @@ def delta_jumpj(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
         pts = _cut_points(grown, pattern, _append_start(node, pc))
         if pts.t != len(word) + pattern.length:
             raise InvariantViolation(f"t at {pts.t}, not behind the new span, in {grown.to_text()}")
-        if ladder.d is None or ladder.d < ji:
+        if ladder.pin is None:
             if pts.z != pts.t:
                 raise InvariantViolation(f"expected z=t for {grown.to_text()}")
-        else:
-            want = (ladder.hstar - pattern.i) if ladder.route_marked else ladder.h
-            if profile(grown.word)[pts.z] != want:
-                raise InvariantViolation(f"z off the pinned ordinate for {grown.to_text()}")
+        elif pts.z_ordinate != ladder.pin:
+            raise InvariantViolation(f"z off the pinned ordinate for {grown.to_text()}")
         repaired = _apply_cut(grown, pattern, pts)
         m0 = k + ji - y - 1
         out.append(_child(node, repaired.word, repaired.spans, m0, pattern.j, f"mark:cut{y}"))

@@ -88,6 +88,14 @@ def build_automaton(pattern: Pattern) -> FactorAutomaton:
     return FactorAutomaton(f, tuple(rows))
 
 
+def _check_budget(ones: int, budget: int) -> None:
+    """Raise BudgetExceeded when the candidate words of brute_force(ones),
+    C(ones+m, m) summed over the fall counts m <= ones, exceed budget."""
+    total = sum(comb(ones + m, m) for m in range(ones + 1))
+    if total > budget:
+        raise BudgetExceeded(f"{total} candidate words exceed budget {budget}")
+
+
 def brute_force(pattern: Pattern, ones: int, budget: int = DEFAULT_BUDGET) -> list[str]:
     """Every avoiding word with exactly `ones` rises and at most that many
     falls, sorted by (length, lexicographic).
@@ -97,9 +105,7 @@ def brute_force(pattern: Pattern, ones: int, budget: int = DEFAULT_BUDGET) -> li
     appends and never extends a prefix that holds the factor.  Trying `0`
     before `1` meets the words of each fall count in lexicographic order.
     """
-    total = sum(comb(ones + m, m) for m in range(ones + 1))
-    if total > budget:
-        raise BudgetExceeded(f"{total} candidate words exceed budget {budget}")
+    _check_budget(ones, budget)
     factor = pattern.factor
     by_falls: list[list[str]] = [[] for _ in range(ones + 1)]
 

@@ -2,6 +2,8 @@
 
 Per level, the surviving words must equal the brute-force enumeration and
 each label's net count must equal the automaton count for that step split.
+The enumeration budget of every level is checked before the tree is built,
+so an oversized request is refused at once.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .construction import RunResult, run_levels
-from .oracle import DEFAULT_BUDGET, brute_force, count_avoiding
+from .oracle import DEFAULT_BUDGET, _check_budget, brute_force, count_avoiding
 from .words import Pattern
 
 __all__ = ["LevelVerdict", "VerifyReport", "verify_pattern"]
@@ -44,6 +46,8 @@ def verify_pattern(
     budget: int = DEFAULT_BUDGET,
     result: RunResult | None = None,
 ) -> VerifyReport:
+    for n in range(max_ones + 1):  # refuse before any tree is built
+        _check_budget(n, budget)
     if result is None:
         result = run_levels(pattern, max_ones)
     verdicts = []

@@ -23,6 +23,7 @@ __all__ = [
     "MarkedWord",
     "PathKind",
     "PathClass",
+    "InvariantViolation",
     "UnclassifiablePath",
     "profile",
     "height",
@@ -33,6 +34,17 @@ __all__ = [
 ]
 
 _FLIP = str.maketrans("01", "10")
+
+
+class InvariantViolation(Exception):
+    """A soundness check of the construction failed.  Every such check
+    raises this class or a subclass (a word no production can classify or
+    expand, a cut that splits a span or finds no marked point, a child
+    family off its label multiset, a net outside {0, 1}), so one except
+    clause catches them all; the CLI exits with code 3.  Raised directly, it
+    reports a child that breaks its production's invariant: label, parity,
+    height after a cut, or a pinned cut point.  Raised, not asserted, so
+    the checks survive ``python -O``."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,14 +135,13 @@ def complement(word: str) -> str:
     return word.translate(_FLIP)
 
 
-def _suffix_start(mw: MarkedWord, pattern: Pattern) -> int:
+def _suffix_start(mw: MarkedWord, pattern: Pattern, prof: list[int]) -> int:
     """Rightmost profile position at ordinate 0 that is eligible as a cut point.
 
     Eligible means: not the word's endpoint and not strictly inside a span.
     Position 0 always qualifies for a nonempty word; for the empty word the
-    suffix is the whole (empty) word.
+    suffix is the whole (empty) word.  prof is profile(mw.word).
     """
-    prof = profile(mw.word)
     for t in range(len(mw.word) - 1, -1, -1):
         if prof[t] == 0 and not mw.strictly_inside(t, pattern):
             return t
@@ -143,7 +154,7 @@ def rightmost_suffix(mw: MarkedWord, pattern: Pattern) -> tuple[str, str, int]:
     Returns (prefix, suffix, start).  The suffix begins at ordinate 0 and is
     the unit every decomposition below works on.
     """
-    t = _suffix_start(mw, pattern)
+    t = _suffix_start(mw, pattern, profile(mw.word))
     return mw.word[:t], mw.word[t:], t
 
 
@@ -164,7 +175,7 @@ class PathClass:
         return self.kind is not PathKind.GAMMA
 
 
-class UnclassifiablePath(Exception):
+class UnclassifiablePath(InvariantViolation):
     """The word matches no expansion class; inputs like this never arise
     from the construction itself."""
 
@@ -184,7 +195,7 @@ def classify(mw: MarkedWord, pattern: Pattern) -> PathClass:
     k = prof[-1]
     if k < 0:
         raise ValueError(f"endpoint ordinate {k} < 0 for {mw.word!r}")
-    t = _suffix_start(mw, pattern)
+    t = _suffix_start(mw, pattern, prof)
     if k == 0:
         return PathClass(PathKind.DELTA_ON_AXIS, suffix_start=t)
     span_peaks = [(s, prof[s + pattern.j]) for s in mw.spans if s >= t]

@@ -113,6 +113,20 @@ class TestVerify:
         assert code == 2
         assert "budget exceeded" in err
 
+    def test_over_budget_request_builds_no_tree(self, monkeypatch):
+        walks = []
+        real = construction._walk
+
+        def spy(*args):
+            walks.append(args[:2])
+            return real(*args)
+
+        monkeypatch.setattr(construction, "_walk", spy)
+        code, out, err = run_cli(["verify", "--j", "2", "--i", "1", "--max-ones", "10", "--budget", "10"])
+        assert (code, out, walks) == (2, "", [])
+        # the first level over budget, as brute_force would report it
+        assert err == "budget exceeded: 35 candidate words exceed budget 10\n"
+
 
 class TestCount:
     def test_rows_and_total(self):
@@ -144,6 +158,27 @@ class TestRule:
         code, _, err = run_cli(["rule", "--file", str(rule), "--levels", "3"])
         assert code == 2
         assert "unknown variable 'q' at line 2, column 10" in err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("axiom: 0\njump 1: (k-1)\n", "label -1 from atom (k-1..) at k=0"),
+            ("axiom: 0\njump 1: (0)^k-1\n", "multiplicity -1 from atom ^k-1 at k=0"),
+        ],
+        ids=["label", "multiplicity"],
+    )
+    def test_negative_label_is_a_usage_error(self, tmp_path, text, message):
+        rule = tmp_path / "negative.rule"
+        rule.write_text(text)
+        code, out, err = run_cli(["rule", "--file", str(rule), "--levels", "3"])
+        assert (code, out, err) == (2, "", f"{rule}: {message}\n")
+
+    def test_file_that_is_not_utf8_is_a_usage_error(self, tmp_path):
+        rule = tmp_path / "latin1.rule"
+        rule.write_bytes("axiom: 2 # \u00e9\n".encode("latin-1"))
+        code, out, err = run_cli(["rule", "--file", str(rule), "--levels", "3"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{rule}: 'utf-8' codec can't decode byte 0xe9")
 
     def test_missing_file_is_a_usage_error(self):
         code, _, err = run_cli(["rule", "--file", "/nonexistent.rule", "--levels", "3"])
@@ -240,6 +275,11 @@ class TestRender:
         code, _, _ = run_cli(["render", "--word", "01", "--spans", "1"])
         assert code == 2
 
+    def test_span_start_before_the_word_is_rejected(self):
+        code, out, err = run_cli(["render", "--word", "011", "--spans", "-1"])
+        assert (code, out) == (2, "")
+        assert "no factor shape at span start -1" in err
+
     def test_malformed_span_list_is_a_usage_error(self):
         code, out, err = run_cli(["render", "--word", "110", "--spans", "0,,1"])
         assert (code, out) == (2, "")
@@ -251,3 +291,29 @@ class TestTopLevel:
         code, out, _ = run_cli(["--version"])
         assert code == 0
         assert out.strip() == "patternforge 0.1.0"
+
+    def test_package_exports_every_module_name_once(self):
+        import patternforge
+        from patternforge import oracle, succession, verify, words
+
+        modules = (words, construction, oracle, succession, verify)
+        declared = {name for mod in modules for name in mod.__all__}
+        assert sorted(patternforge.__all__) == sorted(declared)
+        for mod in modules:
+            for name in mod.__all__:
+                assert getattr(patternforge, name) is getattr(mod, name)
+
+    def test_every_soundness_error_is_an_invariant_violation(self):
+        from patternforge.words import InvariantViolation
+
+        assert construction.InvariantViolation is InvariantViolation
+        for error in (
+            UnclassifiablePath,
+            NotDeltaError,
+            NotGammaError,
+            NoMarkedPoint,
+            construction.SpanSplitError,
+            construction.MultiplicityMismatch,
+            construction.NetOutOfRange,
+        ):
+            assert issubclass(error, InvariantViolation)

@@ -439,6 +439,30 @@ class TestDepthFirstWalk:
             # the lineages of the reference's copies, in node order
             assert err.value.provenances == tuple(nd.provenance for nd in copies) and len(copies) >= 2
 
+    @pytest.mark.parametrize("j,i", [(2, 1), (3, 1)])
+    def test_copies_keep_node_order_whatever_order_the_walk_meets_them(self, monkeypatch, j, i):
+        # a sloped cut line grows copies that tie on sort_key at the alarm level
+        monkeypatch.setattr(construction, "_LINE_SLOPE", 1)
+        pattern = Pattern(j, i)
+        word, level, net, copies = reference_alarm(reference_levels(pattern, 5))
+        assert len({nd.sort_key for nd in copies}) < len(copies)
+        real_walk = construction._walk
+
+        def walk_backwards(*args):
+            tallies, failure = real_walk(*args)
+            for tally in tallies:
+                tally.kept.reverse()
+            return tallies, failure
+
+        monkeypatch.setattr(construction, "_walk", walk_backwards)
+        for keep_nodes in (False, True):
+            with pytest.raises(NetOutOfRange) as err:
+                run_levels(pattern, 5, keep_nodes=keep_nodes)
+            assert (err.value.word, err.value.level) == (word, level)
+            assert err.value.provenances == tuple(nd.provenance for nd in copies)
+        kept = run_levels(pattern, level - 1, keep_nodes=True)
+        assert [rep.nodes for rep in kept.levels] == reference_nodes(pattern, level - 1)
+
     def test_memory_holds_words_not_copies(self):
         def peak(**kwargs):
             tracemalloc.start()
