@@ -6,13 +6,21 @@ The package exports what each module lists in its own __all__."""
 
 __version__ = "0.1.0"
 
-from . import construction, oracle, succession, verify, words
+from . import census, construction, oracle, succession, verify, words
 from .words import *
+from .census import *
 from .construction import *
 from .oracle import *
 from .succession import *
 from .verify import *
 
 __all__ = list(
-    dict.fromkeys(words.__all__ + construction.__all__ + oracle.__all__ + succession.__all__ + verify.__all__)
+    dict.fromkeys(
+        words.__all__
+        + census.__all__
+        + construction.__all__
+        + oracle.__all__
+        + succession.__all__
+        + verify.__all__
+    )
 )

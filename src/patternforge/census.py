@@ -1,0 +1,194 @@
+"""Dense per-level word censuses, indexed by lexicographic rank.
+
+The words with n ones and z zeros, in lexicographic order ('0' before
+'1'), are ranked 0 .. C(n+z, z) - 1: the combinatorial number system
+(Knuth, TAOCP 7.2.1.3).  The census of level n holds, for each zero count
+z in 0..n, one list of plus copies and one of minus copies indexed by
+that rank: C(2n+1, n) cells per sign, however many copies they count.
+
+The words of class (n, z) that begin with a fixed prefix q fill one block
+of ranks, from rank_prefix(q, n, z) on, in the order of their suffixes'
+own ranks in class (n - |q|_1, z - |q|_0).  So putting q in front of
+every word of a lower level is one block add per zero count.
+"""
+
+from __future__ import annotations
+
+from collections.abc import ItemsView, Iterable, Iterator, Mapping
+from itertools import compress, count, repeat
+from math import comb
+from operator import add, eq, mul, or_, sub, truth
+
+__all__ = ["WordCensus"]
+
+
+def rank_prefix(prefix: str, ones: int, zeros: int) -> int:
+    """The first rank, among the words with `ones` ones and `zeros` zeros,
+    of those that begin with `prefix`; for a whole word, its own rank."""
+    rank = 0
+    for bit in prefix:
+        if bit == "1":
+            if zeros:  # the words with a 0 here come first
+                rank += comb(ones + zeros - 1, zeros - 1)
+            ones -= 1
+        else:
+            zeros -= 1
+    return rank
+
+
+def unrank(rank: int, ones: int, zeros: int) -> str:
+    """The word of that rank among the words with `ones` ones and `zeros` zeros."""
+    bits = []
+    while ones and zeros:
+        first_one = comb(ones + zeros - 1, zeros - 1)  # ranks of the words with a 0 here
+        if rank < first_one:
+            bits.append("0")
+            zeros -= 1
+        else:
+            rank -= first_one
+            bits.append("1")
+            ones -= 1
+    return "".join(bits) + "1" * ones + "0" * zeros
+
+
+class WordCensus(Mapping):
+    """The census of one level, word -> (plus copies, minus copies), as a
+    read-only mapping over the words with at least one copy.
+
+    It iterates in ascending string order by walking the word trie, and
+    spells a word out only when it is read.  Per sign it holds one list per
+    zero count z, indexed by rank: the copies of each word with `ones` ones
+    and z zeros.  build_census fills the lists; nothing changes them after.
+    """
+
+    __slots__ = ("ones", "_plus", "_minus")
+
+    def __init__(self, ones: int, plus: list[list[int]], minus: list[list[int]]) -> None:
+        self.ones = ones
+        self._plus = plus
+        self._minus = minus
+
+    def __getitem__(self, word: str) -> tuple[int, int]:
+        ones = self.ones
+        if not isinstance(word, str) or word.count("1") != ones:
+            raise KeyError(word)
+        zeros = len(word) - ones
+        if zeros > ones or word.count("0") != zeros:
+            raise KeyError(word)
+        rank = rank_prefix(word, ones, zeros)
+        cell = self._plus[zeros][rank], self._minus[zeros][rank]
+        if cell == (0, 0):
+            raise KeyError(word)
+        return cell
+
+    def _cells(self) -> Iterator[tuple[str, tuple[int, int]]]:
+        """(word, cell) for every word with a copy, in ascending string order.
+
+        The trie is walked depth first, 0 before 1, so the words of each
+        zero count come in rank order: a counter per zero count gives the
+        rank of each word met."""
+        ones, plus, minus = self.ones, self._plus, self._minus
+        ranks = [0] * (ones + 1)
+        stack = [("", 0)]
+        while stack:
+            prefix, zeros = stack.pop()
+            if len(prefix) - zeros == ones:  # only zeros may follow, shortest word first
+                for z in range(zeros, ones + 1):
+                    rank = ranks[z]
+                    ranks[z] = rank + 1
+                    cell = plus[z][rank], minus[z][rank]
+                    if cell != (0, 0):
+                        yield prefix + "0" * (z - zeros), cell
+                continue
+            stack.append((prefix + "1", zeros))
+            if zeros < ones:
+                stack.append((prefix + "0", zeros + 1))
+
+    def __iter__(self) -> Iterator[str]:
+        return (word for word, _ in self._cells())
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def __len__(self) -> int:
+        return sum(sum(map(truth, map(or_, p, m))) for p, m in zip(self._plus, self._minus))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self._cells())!r})"
+
+    def labels(self) -> dict[int, tuple[int, int]]:
+        """(plus, minus) copies per label, the endpoint ordinate ones - z,
+        in ascending label order, for every label with a copy."""
+        ones = self.ones
+        out = {}
+        for z in range(ones, -1, -1):
+            cell = sum(self._plus[z]), sum(self._minus[z])
+            if cell != (0, 0):
+                out[ones - z] = cell
+        return out
+
+    def survivors(self) -> tuple[str, ...]:
+        """The words with net (plus - minus) 1, by length and then
+        lexicographically: by zero count, then by rank."""
+        ones = self.ones
+        return tuple(
+            unrank(rank, ones, z)
+            for z, (p, m) in enumerate(zip(self._plus, self._minus))
+            for rank in compress(count(), map(eq, map(sub, p, m), repeat(1)))
+        )
+
+    def off_net(self) -> tuple[str, int] | None:
+        """(word, net) of the smallest word in string order whose net lies
+        outside {0, 1}, over every zero count; None when there is none."""
+        ones = self.ones
+        bad = []
+        for z, (p, m) in enumerate(zip(self._plus, self._minus)):
+            if not set(map(sub, p, m)) <= {0, 1}:
+                bad += [(unrank(r, ones, z), net) for r, net in enumerate(map(sub, p, m)) if net not in (0, 1)]
+        return min(bad) if bad else None
+
+
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[str, tuple[int, int]]]:
+        return self._mapping._cells()
+
+
+def _block_add(cells: list[int], start: int, src: list[int], times: int) -> None:
+    """cells[start + r] += times * src[r] for every r, in one slice."""
+    if times:
+        end = start + len(src)
+        cells[start:end] = map(add, cells[start:end], src if times == 1 else map(mul, src, repeat(times)))
+
+
+def build_census(
+    ones: int,
+    plus: dict[str, int],
+    minus: dict[str, int],
+    grown: Iterable[tuple[dict[str, list[int]], WordCensus]] = (),
+) -> WordCensus:
+    """The census of a level with `ones` ones: the copies `plus` and `minus`
+    (word -> copies), and for each (returns, below) in `grown`, every word
+    q of `returns` (q -> [plus, minus] copies) put in front of every word w
+    of `below`, the census of level ones - |q|_1.  A q with (qp, qm)
+    copies in front of a w with (wp, wm) gives q + w qp*wp + qm*wm plus
+    and qp*wm + qm*wp minus copies."""
+    cells_plus = [[0] * comb(ones + z, z) for z in range(ones + 1)]
+    cells_minus = [[0] * comb(ones + z, z) for z in range(ones + 1)]
+    for word in plus.keys() | minus.keys():  # most words carry copies of both signs: rank each once
+        zeros = len(word) - ones
+        rank = rank_prefix(word, ones, zeros)
+        cells_plus[zeros][rank] += plus.get(word, 0)
+        cells_minus[zeros][rank] += minus.get(word, 0)
+    for returns, below in grown:
+        for q, (qp, qm) in returns.items():
+            shift = len(q) - (ones - below.ones)  # the zeros of q
+            for z, (wp, wm) in enumerate(zip(below._plus, below._minus), shift):
+                start = rank_prefix(q, ones, z)
+                dst_plus, dst_minus = cells_plus[z], cells_minus[z]
+                _block_add(dst_plus, start, wp, qp)
+                _block_add(dst_plus, start, wm, qm)
+                _block_add(dst_minus, start, wm, qp)
+                _block_add(dst_minus, start, wp, qm)
+    return WordCensus(ones, cells_plus, cells_minus)

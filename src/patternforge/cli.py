@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, enumeration
 budget exceeded or bad rule file, 3 internal soundness violation.  A rule
 file that is not UTF-8, does not parse, or yields a negative label or
-multiplicity is reported as `{file}: {message}`.  verify
-checks the enumeration budget of every level before it builds the tree.
+multiplicity is reported as `{file}: {message}`.  generate, verify and
+trace check the budget (--budget, DEFAULT_BUDGET candidates per level) of
+every level before they build the tree: a level's census has as many
+cells per sign as the enumeration has candidates.
 Exit code 3 is any words.InvariantViolation: a net outside {0, 1}, a child
 multiset off its formula, a cut that splits a span, a node the productions
 cannot classify or expand, or a child that breaks a production invariant
@@ -26,7 +28,7 @@ import json
 import sys
 
 from .construction import copies_of, run_levels
-from .oracle import DEFAULT_BUDGET, BudgetExceeded, count_avoiding
+from .oracle import DEFAULT_BUDGET, BudgetExceeded, _check_levels, count_avoiding
 from .succession import NegativeLabel, RuleParseError, expand_census, parse_rule
 from .verify import verify_pattern
 from .words import InvariantViolation, MarkedWord, Pattern, profile
@@ -57,8 +59,13 @@ def _add_pattern_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--i", type=int, required=True, help="fall count of the forbidden factor")
 
 
+def _add_budget_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+
+
 def cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     pattern = _pattern(parser, args)
+    _check_levels(args.max_ones, args.budget)  # refuse before any tree is built
     result = run_levels(pattern, args.max_ones)
     for rep in result.levels:
         for word in rep.survivors:
@@ -117,6 +124,7 @@ def cmd_trace(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     word = args.word
     if set(word) - {"0", "1"}:
         parser.error(f"word must be over 0/1, got {word!r}")
+    _check_levels(word.count("1"), args.budget)  # refuse before any tree is built
     for node in copies_of(pattern, word):  # raises what a run to the word's level raises
         sign = "+" if node.parity > 0 else "-"
         spans = ",".join(str(s) for s in node.mw.spans) or "-"
@@ -182,12 +190,13 @@ def main(argv: list[str] | None = None) -> int:
     _add_pattern_flags(p)
     p.add_argument("--max-ones", type=_count, required=True)
     p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
+    _add_budget_flag(p)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("verify", help="differential check against the oracles")
     _add_pattern_flags(p)
     p.add_argument("--max-ones", type=_count, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    _add_budget_flag(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("count", help="oracle counts by fall count")
@@ -203,6 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("trace", help="show every tree copy of one word")
     _add_pattern_flags(p)
     p.add_argument("--word", required=True)
+    _add_budget_flag(p)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("render", help="ASCII profile of a word")

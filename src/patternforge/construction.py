@@ -33,10 +33,15 @@ for all others, which run_levels enforces.
 A node's children depend on that node alone, and the only state the
 whole tree shares is the per-level census, a sum that ignores order.  So
 run_levels walks the tree depth-first with an explicit stack and counts
-each node into its level's censuses as it is met; memory scales with the
-distinct words of a level, not with its copies.  A node that fails to
-classify or expand is held back until every lower level has been checked,
-so failures surface in the order of a level-by-level run.
+each node into its level's censuses as it is met.  The walk tallies the
+words it meets in small dicts; each level's census is then a dense one
+(see census): one list of copies per sign and zero count, indexed by the
+word's lexicographic rank, so a level with n ones costs C(2n+1, n) cells
+per sign, whatever its copies number.  Without keep_nodes, the children at
+max_ones are tallied as words (word, sign, class) and no node is built for
+them.  A node that fails to classify or expand is held back until every
+lower level has been checked, so failures surface in the order of a
+level-by-level run.
 
 Axis returns.  A node q that ends on the axis above the root (label 0,
 level m >= 1) grows the whole tree again behind its word: every child of
@@ -47,7 +52,8 @@ tree at level n - m with q.word in front, spans shifted by len(q.word) and
 signs multiplied by q's.  run_levels therefore walks only the nodes no
 axis return lies above, records each return's word by sign, and builds
 level n as its walked part plus, for each m in 1..n-1, the returns of
-level m concatenated with the full census of level n - m.  Runs that need
+level m concatenated with the full census of level n - m: one block add
+per return and zero count into the dense census.  Runs that need
 the nodes themselves (keep_nodes, the copies of one word) build them the
 same way: each walked return of level m is put in front of every kept node
 of level n - m.  They differ from a census-only run in the nodes they keep
@@ -56,9 +62,12 @@ walk, splice and level checks, that keeps the factors of its word.  Only
 the lineages of a NetOutOfRange come from a second walk, which checks
 nothing and runs only once a level has failed.
 
-Each node is classified once.  A plain-append child inherits its class
-(and suffix start) from its parent, since the appended steps never touch
-the axis before the endpoint; only children built by a cut are rescanned.
+Each node is classified at most once.  A plain-append child inherits its
+class (and suffix start) from its parent, since the appended steps never
+touch the axis before the endpoint; only children built by a cut are
+rescanned, and only those above the axis: a word that ends on the axis is
+DELTA_ON_AXIS whatever its spans, and such a node above the root is never
+expanded.
 run_levels never builds a child past max_ones, and every jump-j family
 that is built passes its label multiset check.
 """
@@ -66,9 +75,11 @@ that is built passes its label multiset check.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
+from .census import build_census
 from .words import (
     InvariantViolation,
     MarkedWord,
@@ -149,7 +160,12 @@ class TreeNode:
         return (self.mw.word, self.mw.spans, self.parity)
 
 
-def _child(
+# A checked child, before any node is built for it:
+# (word, spans, label, parity, tag, path_class).
+_Kid = tuple[str, tuple[int, ...], int, int, str, PathClass | None]
+
+
+def _kid(
     parent: TreeNode,
     word: str,
     spans: tuple[int, ...],
@@ -157,15 +173,22 @@ def _child(
     jump: int,
     tag: str,
     path_class: PathClass | None = None,
-) -> TreeNode:
+) -> _Kid:
     parity = parent.parity if jump == 1 else -parent.parity
     if height(word) != label:
         raise InvariantViolation(f"label {label} != ordinate of {word!r}")
     if parity != (1 if len(spans) % 2 == 0 else -1):
         raise InvariantViolation(f"parity {parity} != sign of {len(spans)} spans in {word!r}")
-    return TreeNode(
-        MarkedWord(word, spans), label, parity, parent.level + jump, parent.provenance + (tag,), path_class
-    )
+    return word, spans, label, parity, tag, path_class
+
+
+def _nodes(parent: TreeNode, level: int, kids: list[_Kid]) -> list[TreeNode]:
+    """The tree nodes of `parent`'s kids at `level`."""
+    lineage = parent.provenance
+    return [
+        TreeNode(MarkedWord(word, spans), label, parity, level, lineage + (tag,), pc)
+        for word, spans, label, parity, tag, pc in kids
+    ]
 
 
 def _node_class(node: TreeNode, pattern: Pattern) -> PathClass:
@@ -178,7 +201,7 @@ def _append_start(node: TreeNode, pc: PathClass) -> int:
     return len(node.mw.word) if node.label == 0 else pc.suffix_start
 
 
-def _appends(node: TreeNode, pattern: Pattern, pc: PathClass, jump: int, tag: str) -> list[TreeNode]:
+def _appends(node: TreeNode, pattern: Pattern, pc: PathClass, jump: int, tag: str) -> list[_Kid]:
     """Plain appends of one rise (jump 1) or the marked factor (jump j) and
     then falls, one child per label from 0 up, each carrying its class.
 
@@ -197,7 +220,7 @@ def _appends(node: TreeNode, pattern: Pattern, pc: PathClass, jump: int, tag: st
     on_axis = PathClass(PathKind.DELTA_ON_AXIS, _append_start(node, pc))
     above = PathClass(PathKind.DELTA_ABOVE, len(word)) if k == 0 else pc
     return [
-        _child(node, word + head + "0" * (top - y), spans, y, jump, f"{tag}:{y}", above if y else on_axis)
+        _kid(node, word + head + "0" * (top - y), spans, y, jump, f"{tag}:{y}", above if y else on_axis)
         for y in range(top + 1)
     ]
 
@@ -328,10 +351,7 @@ def cut_and_paste(mw: MarkedWord, pattern: Pattern) -> MarkedWord:
 # --- productions -------------------------------------------------------------
 
 
-def delta_jump1(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
-    """The k+3 children one level deeper of a delta node with label k:
-    appended children for labels 0..k+1 plus one repaired axis child."""
-    pc = _node_class(node, pattern)
+def _jump1(node: TreeNode, pattern: Pattern, pc: PathClass) -> list[_Kid]:
     if pc.kind is PathKind.GAMMA:
         raise NotDeltaError(node.mw.to_text())
     k = node.label
@@ -341,21 +361,16 @@ def delta_jump1(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
     t0 = _append_start(node, pc)  # rightmost eligible axis point of grown
     if any(s >= t0 for s in spans):
         repaired = _apply_cut(grown, pattern, _cut_points(grown, pattern, t0))
-        out.append(_child(node, repaired.word, repaired.spans, 0, 1, "up:axis"))
+        out.append(_kid(node, repaired.word, repaired.spans, 0, 1, "up:axis"))
     else:
         # the suffix is span-free and above the axis; flipped, it returns
         # to the axis only at the new endpoint
         repaired_word = grown.word[:t0] + complement(grown.word[t0:]) + "1"
-        out.append(_child(node, repaired_word, spans, 0, 1, "up:axis", PathClass(PathKind.DELTA_ON_AXIS, t0)))
+        out.append(_kid(node, repaired_word, spans, 0, 1, "up:axis", PathClass(PathKind.DELTA_ON_AXIS, t0)))
     return out
 
 
-def delta_jumpj(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
-    """The jump-j children of a delta node: 1+k+j-i marked appends (labels
-    k+j-i down to 0) plus, for each y in [k+a, k+j-i-1], one cut-and-pasted
-    child and its longer-falling copies.  Verifies the label multiset.
-    The marked appends carry their class; the cut children are rescanned."""
-    pc = _node_class(node, pattern)
+def _jumpj(node: TreeNode, pattern: Pattern, pc: PathClass) -> list[_Kid]:
     ladder = _ladder(node.mw, pattern, pc)
     a = ladder.a
     k = node.label
@@ -375,12 +390,10 @@ def delta_jumpj(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
             raise InvariantViolation(f"z off the pinned ordinate for {grown.to_text()}")
         repaired = _apply_cut(grown, pattern, pts)
         m0 = k + ji - y - 1
-        out.append(_child(node, repaired.word, repaired.spans, m0, pattern.j, f"mark:cut{y}"))
+        out.append(_kid(node, repaired.word, repaired.spans, m0, pattern.j, f"mark:cut{y}"))
         for g in range(1, m0 + 1):
-            out.append(
-                _child(node, repaired.word + "0" * g, repaired.spans, m0 - g, pattern.j, f"mark:cut{y}+{g}")
-            )
-    got = Counter(nd.label for nd in out)
+            out.append(_kid(node, repaired.word + "0" * g, repaired.spans, m0 - g, pattern.j, f"mark:cut{y}+{g}"))
+    got = Counter(kid[2] for kid in out)
     want = {m: 1 + max(0, ji - a - m) for m in range(k + ji + 1)}
     if got != want:
         raise MultiplicityMismatch(
@@ -389,16 +402,48 @@ def delta_jumpj(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
     return out
 
 
+def delta_jump1(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
+    """The k+3 children one level deeper of a delta node with label k:
+    appended children for labels 0..k+1 plus one repaired axis child."""
+    return _nodes(node, node.level + 1, _jump1(node, pattern, _node_class(node, pattern)))
+
+
+def delta_jumpj(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
+    """The jump-j children of a delta node: 1+k+j-i marked appends (labels
+    k+j-i down to 0) plus, for each y in [k+a, k+j-i-1], one cut-and-pasted
+    child and its longer-falling copies.  Verifies the label multiset.
+    The marked appends carry their class; the cut children are rescanned."""
+    return _nodes(node, node.level + pattern.j, _jumpj(node, pattern, _node_class(node, pattern)))
+
+
 def gamma_expand(node: TreeNode, pattern: Pattern) -> tuple[list[TreeNode], list[TreeNode]]:
     """Gamma children: plain appends only, each label exactly once."""
     pc = _node_class(node, pattern)
     if pc.kind is not PathKind.GAMMA:
         raise NotGammaError(node.mw.to_text())
-    return _appends(node, pattern, pc, 1, "gup"), _appends(node, pattern, pc, pattern.j, "gmark")
+    return (
+        _nodes(node, node.level + 1, _appends(node, pattern, pc, 1, "gup")),
+        _nodes(node, node.level + pattern.j, _appends(node, pattern, pc, pattern.j, "gmark")),
+    )
 
 
 def _tree_order(node: TreeNode) -> tuple[str, tuple[int, ...]]:
     return node.mw.word, node.mw.spans
+
+
+def _expand(node: TreeNode, pattern: Pattern, max_level: int | None = None) -> dict[int, list[_Kid]]:
+    """The children of a node that carries its class, as checked kids
+    grouped by target level, in production order: the walk's seam, under
+    expand_node."""
+    pc = node.path_class
+    gamma = pc.kind is PathKind.GAMMA
+    groups = {}
+    up, mark = node.level + 1, node.level + pattern.j
+    if max_level is None or up <= max_level:
+        groups[up] = _appends(node, pattern, pc, 1, "gup") if gamma else _jump1(node, pattern, pc)
+    if max_level is None or mark <= max_level:
+        groups[mark] = _appends(node, pattern, pc, pattern.j, "gmark") if gamma else _jumpj(node, pattern, pc)
+    return groups
 
 
 def expand_node(node: TreeNode, pattern: Pattern, max_level: int | None = None) -> dict[int, list[TreeNode]]:
@@ -412,23 +457,10 @@ def expand_node(node: TreeNode, pattern: Pattern, max_level: int | None = None) 
     """
     if node.path_class is None:
         node = replace(node, path_class=classify(node.mw, pattern))
-    pc = node.path_class
-    if pc.kind is PathKind.GAMMA:
-        productions = (
-            (1, lambda: _appends(node, pattern, pc, 1, "gup")),
-            (pattern.j, lambda: _appends(node, pattern, pc, pattern.j, "gmark")),
-        )
-    else:
-        productions = (
-            (1, lambda: delta_jump1(node, pattern)),
-            (pattern.j, lambda: delta_jumpj(node, pattern)),
-        )
-    groups = {}
-    for jump, build in productions:
-        level = node.level + jump
-        if max_level is None or level <= max_level:
-            groups[level] = sorted(build(), key=_tree_order)
-    return groups
+    return {
+        level: sorted(_nodes(node, level, kids), key=_tree_order)
+        for level, kids in _expand(node, pattern, max_level).items()
+    }
 
 
 # --- level engine ------------------------------------------------------------
@@ -436,9 +468,13 @@ def expand_node(node: TreeNode, pattern: Pattern, max_level: int | None = None) 
 
 @dataclass(frozen=True, slots=True)
 class LevelReport:
+    """One level of a run.  word_census is a read-only Mapping, word ->
+    (plus, minus) copies, over the words with a copy, in ascending word
+    order (see census.WordCensus)."""
+
     level: int
     label_census: dict[int, tuple[int, int]]
-    word_census: dict[str, tuple[int, int]]
+    word_census: Mapping[str, tuple[int, int]]
     survivors: tuple[str, ...]
     class_counts: dict[str, int]
     nodes: tuple[TreeNode, ...] | None = None
@@ -478,21 +514,31 @@ def _node_order(node: TreeNode) -> tuple[tuple[str, tuple[int, ...], int], tuple
     return node.sort_key, node.provenance
 
 
+# Every word that ends on the axis is DELTA_ON_AXIS, whatever its spans,
+# and classify cannot fail on it.  Its suffix start matters only when it is
+# expanded, and the only such node the walk expands is the root, whose
+# suffix starts at 0.
+_ON_AXIS = PathClass(PathKind.DELTA_ON_AXIS, 0)
+
+
 def _walk(
     pattern: Pattern, max_ones: int, keep: Callable[[TreeNode], bool] | None = None
 ) -> tuple[list[_LevelTally], tuple[tuple, Exception] | None]:
     """Walk the tree depth-first from the root down to max_ones rise steps.
 
     Each node is tallied at its level, kept when keep(node) holds, then
-    classified and, below max_ones, expanded through expand_node.  An axis
-    return (a label-0 node above the root) is tallied and classified but not
-    expanded; its word goes into its level's returns instead, for
-    _run to grow from the censuses.  A node whose classification or
-    expansion raises grows no subtree, and the walk goes on, since a
-    level-by-level run may meet another failure first: on a lower level, or
-    on a smaller node of the same level.  The second item returned is the
-    failure such a run meets first, as ((level, 0 for classify or 1 for
-    expand, sort_key), exception), or None.
+    classified and, below max_ones, expanded through _expand.  A node that
+    ends on the axis is not rescanned: it is DELTA_ON_AXIS.  An axis return
+    (a label-0 node above the root) is tallied but not expanded; its word
+    goes into its level's returns instead, for _run to grow from the
+    censuses.  Without keep, the children at max_ones are tallied as words
+    (word, sign and class) and no node is built for them; they pass the
+    same checks.  A node whose classification or expansion raises grows no
+    subtree, and the walk goes on, since a level-by-level run may meet
+    another failure first: on a lower level, or on a smaller node of the
+    same level.  The second item returned is the failure such a run meets
+    first, as ((level, 0 for classify or 1 for expand, sort_key),
+    exception), or None.
 
     With keep, level n then also keeps, where keep holds, each kept walked
     return of level m (1 <= m < n) put in front of each kept node of level
@@ -503,9 +549,38 @@ def _walk(
     failure = None
 
     def fail(key: tuple, exc: Exception) -> None:
+        # Any exception is held, not only the construction's own: the
+        # level-by-level order decides which one surfaces.
         nonlocal failure
         if failure is None or key < failure[0]:
             failure = (key, exc)
+
+    def rescan(word: str, spans: tuple[int, ...], label: int, parity: int, level: int) -> PathClass | None:
+        """The class of a copy that carries none (the root, or a child built
+        by a cut), or None once its failure is held."""
+        if label == 0:
+            return _ON_AXIS
+        mw = MarkedWord(word, spans)
+        try:
+            return classify(mw, pattern)
+        except Exception as exc:
+            fail((level, 0, (word, mw.spans, parity)), exc)
+            return None
+
+    def tally_leaves(kids: list[_Kid], level: int) -> None:
+        """Tally the kids at max_ones as words, without building nodes."""
+        tally = tallies[level]
+        plus, minus = tally.plus, tally.minus
+        kinds = []
+        for word, spans, label, parity, _, pc in kids:
+            copies = plus if parity > 0 else minus
+            copies[word] = copies.get(word, 0) + 1
+            pc = pc or rescan(word, spans, label, parity, level)
+            if pc is not None:
+                kinds.append(pc.kind)
+        for kind in PathKind:  # counted by identity: an Enum member hashes in Python
+            if kind in kinds:
+                tally.classes[kind] += kinds.count(kind)
 
     stack = [TreeNode(MarkedWord(""), 0, 1, 0)]
     while stack:
@@ -517,12 +592,8 @@ def _walk(
         copies[word] = copies.get(word, 0) + 1
         if keep is not None and keep(node):
             tally.kept.append(node)
-        # Any exception is held, not only the construction's own: the
-        # level-by-level order decides which one surfaces.
-        try:
-            pc = node.path_class or classify(node.mw, pattern)
-        except Exception as exc:
-            fail((level, 0, node.sort_key), exc)
+        pc = node.path_class or rescan(word, node.mw.spans, node.label, node.parity, level)
+        if pc is None:
             continue
         tally.classes[pc.kind] += 1
         if level == max_ones:
@@ -533,12 +604,15 @@ def _walk(
         if node.path_class is None:  # rescanned: hand the class on with the node
             node = replace(node, path_class=pc)
         try:
-            groups = expand_node(node, pattern, max_ones)
+            groups = _expand(node, pattern, max_ones)
         except Exception as exc:
             fail((level, 1, node.sort_key), exc)
             continue
-        for kids in groups.values():
-            stack.extend(kids)
+        for kid_level, kids in groups.items():
+            if kid_level == max_ones and keep is None:
+                tally_leaves(kids, kid_level)
+            else:
+                stack += _nodes(node, kid_level, kids)
     if keep is not None:
         walked = [[q for q in tally.kept if q.label == 0] for tally in tallies]  # before any is grown
         for n, tally in enumerate(tallies):
@@ -570,37 +644,17 @@ def _lineages(pattern: Pattern, word: str) -> tuple[tuple[str, ...], ...]:
     return tuple(nd.provenance for nd in copies)
 
 
-def _splice(
-    tally: _LevelTally,
-    returns: dict[str, list[int]],
-    census: dict[str, tuple[int, int]],
-    classes: Counter[PathKind],
-) -> None:
-    """Count into `tally` the subtrees of one level's axis returns at the
-    depth of a whole-tree level with word census `census` and class tallies
-    `classes`: a return q with (qp, qm) copies in front of a word w with
-    (wp, wm) copies gives q + w qp*wp + qm*wm plus and qp*wm + qm*wp minus
-    copies, and every copy of a return repeats the level's classes."""
-    plus, minus = tally.plus, tally.minus
-    for q, (qp, qm) in returns.items():
-        for w, (wp, wm) in census.items():
-            word = q + w
-            plus[word] = plus.get(word, 0) + qp * wp + qm * wm
-            minus[word] = minus.get(word, 0) + qp * wm + qm * wp
-    copies = sum(qp + qm for qp, qm in returns.values())
-    tally.classes.update({kind: copies * count for kind, count in classes.items()})
-
-
 def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> RunResult:
     """Grow the tree up to max_ones rise steps.
 
     The tree is walked depth-first and every node is counted into its
-    level's censuses as it is met, so memory holds the distinct words of
-    each level and the walk's stack, not the copies (unless keep_nodes).
-    Per level the report carries the label census, the word census in
-    ascending word order, the surviving words (net 1), the class tallies of
-    every node and, with keep_nodes, the nodes sorted by (word, spans,
-    parity, lineage).
+    level's censuses as it is met, so memory holds each level's dense
+    census (C(2n+1, n) cells per sign for n ones), the walk's tallies and
+    its stack, not the copies (unless keep_nodes).  Per level the report
+    carries the label census, the word census as a read-only Mapping in
+    ascending word order (census.WordCensus), the surviving words (net 1),
+    the class tallies of every node and, with keep_nodes, the nodes sorted
+    by (word, spans, parity, lineage).
 
     The walk does not expand an axis return: a node q with label 0 at level
     m >= 1 roots a copy of the whole tree behind q.word (see the module
@@ -621,10 +675,11 @@ def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> 
     failing level is met by the walk, and failures surface exactly as a
     level-by-level run would raise them.
 
-    Each node is classified once: plain-append children inherit their class
-    from the parent, and only nodes built by a cut are rescanned.  Children
-    past max_ones are never built; every jump-j family that is built passes
-    its label multiset check.
+    Each node is classified at most once: plain-append children inherit
+    their class from the parent, and only nodes built by a cut that end
+    above the axis are rescanned.  Children past max_ones are never built,
+    and without keep_nodes those at max_ones are tallied as words; every
+    jump-j family that is built passes its label multiset check.
     """
     if max_ones < 0:
         raise ValueError("max_ones must be >= 0")
@@ -638,32 +693,28 @@ def _run(pattern: Pattern, max_ones: int, keep: Callable[[TreeNode], bool] | Non
     tallies, failure = _walk(pattern, max_ones, keep)
     reports: list[LevelReport] = []
     for n, tally in enumerate(tallies):
-        plus, minus = tally.plus, tally.minus
+        grown = []
         for m in range(1, n):
-            if tallies[m].returns:
-                _splice(tally, tallies[m].returns, reports[n - m].word_census, tallies[n - m].classes)
-        word_census = {w: (plus.get(w, 0), minus.get(w, 0)) for w in sorted(plus.keys() | minus.keys())}
-        plus.clear()  # the report holds the census from here on
-        minus.clear()
-        for word, (p, m) in word_census.items():
-            if p - m not in (0, 1):
-                raise NetOutOfRange(word, n, p - m, _lineages(pattern, word))
+            returns = tallies[m].returns
+            if returns:
+                grown.append((returns, reports[n - m].word_census))
+                copies = sum(qp + qm for qp, qm in returns.values())  # each repeats the classes of level n - m
+                tally.classes.update({kind: copies * count for kind, count in tallies[n - m].classes.items()})
+        census = build_census(n, tally.plus, tally.minus, grown)
+        tally.plus.clear()  # the census holds the copies from here on
+        tally.minus.clear()
+        off = census.off_net()
+        if off is not None:
+            word, net = off
+            raise NetOutOfRange(word, n, net, _lineages(pattern, word))
         if failure is not None and failure[0][0] == n:
             raise failure[1]
-        label_census: dict[int, tuple[int, int]] = {}
-        for word, (p, m) in word_census.items():
-            label = 2 * n - len(word)  # the endpoint ordinate of a word with n rises
-            lp, lm = label_census.get(label, (0, 0))
-            label_census[label] = (lp + p, lm + m)
-        survivors = tuple(
-            sorted((w for w, (p, m) in word_census.items() if p - m == 1), key=lambda w: (len(w), w))
-        )
         reports.append(
             LevelReport(
                 n,
-                dict(sorted(label_census.items())),
-                word_census,
-                survivors,
+                census.labels(),
+                census,
+                census.survivors(),
                 {kind.value: tally.classes[kind] for kind in PathKind if kind in tally.classes},
                 tuple(sorted(tally.kept, key=_node_order)) if keep is not None else None,
             )

@@ -96,6 +96,15 @@ def _check_budget(ones: int, budget: int) -> None:
         raise BudgetExceeded(f"{total} candidate words exceed budget {budget}")
 
 
+def _check_levels(max_ones: int, budget: int) -> None:
+    """_check_budget for every level up to max_ones, lowest first, so an
+    over-budget request names its first level over budget.  The level
+    engine's census needs the same C(2n+1, n) cells per sign for level n,
+    so generate, verify and trace run this before they build anything."""
+    for n in range(max_ones + 1):
+        _check_budget(n, budget)
+
+
 def brute_force(pattern: Pattern, ones: int, budget: int = DEFAULT_BUDGET) -> list[str]:
     """Every avoiding word with exactly `ones` rises and at most that many
     falls, sorted by (length, lexicographic).

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .construction import RunResult, run_levels
-from .oracle import DEFAULT_BUDGET, _check_budget, brute_force, count_avoiding
+from .oracle import DEFAULT_BUDGET, _check_levels, brute_force, count_avoiding
 from .words import Pattern
 
 __all__ = ["LevelVerdict", "VerifyReport", "verify_pattern"]
@@ -46,8 +46,7 @@ def verify_pattern(
     budget: int = DEFAULT_BUDGET,
     result: RunResult | None = None,
 ) -> VerifyReport:
-    for n in range(max_ones + 1):  # refuse before any tree is built
-        _check_budget(n, budget)
+    _check_levels(max_ones, budget)  # refuse before any tree is built
     if result is None:
         result = run_levels(pattern, max_ones)
     verdicts = []

@@ -15,6 +15,19 @@ from patternforge.construction import NoMarkedPoint, NotDeltaError, NotGammaErro
 from patternforge.words import Pattern, UnclassifiablePath
 
 
+def spy_on_walks(monkeypatch) -> list:
+    """Record the (pattern, max_ones) of every walk of the tree."""
+    walks = []
+    real = construction._walk
+
+    def spy(*args):
+        walks.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(construction, "_walk", spy)
+    return walks
+
+
 class TestGenerate:
     def test_jsonl_records(self):
         code, out, err = run_cli(["generate", "--j", "2", "--i", "1", "--max-ones", "2"])
@@ -29,6 +42,19 @@ class TestGenerate:
         code, out, _ = run_cli(["generate", "--j", "2", "--i", "1", "--max-ones", "1", "--format", "tsv"])
         assert code == 0
         assert out.splitlines() == ["0\t\t1\t1\t0", "1\t1\t1\t1\t0", "1\t01\t1\t1\t0", "1\t10\t1\t1\t0"]
+
+    def test_over_budget_request_builds_no_tree(self, monkeypatch):
+        walks = spy_on_walks(monkeypatch)
+        code, out, err = run_cli(["generate", "--j", "2", "--i", "1", "--max-ones", "14", "--budget", "1000"])
+        assert (code, out, walks) == (2, "", [])
+        # the first level over budget: C(2n+1, n) = 1716 for n = 6
+        assert err == "budget exceeded: 1716 candidate words exceed budget 1000\n"
+
+    def test_the_default_budget_stops_at_13_ones(self, monkeypatch):
+        walks = spy_on_walks(monkeypatch)
+        code, _, err = run_cli(["generate", "--j", "2", "--i", "1", "--max-ones", "13"])
+        assert (code, walks) == (2, [])
+        assert err == "budget exceeded: 20058300 candidate words exceed budget 10000000\n"
 
     def test_degenerate_pattern_is_a_usage_error(self):
         code, _, err = run_cli(["generate", "--j", "1", "--i", "1", "--max-ones", "2"])
@@ -70,7 +96,7 @@ class TestVerify:
         def expand(node, pattern, max_level=None):
             raise error(node.mw.to_text())
 
-        monkeypatch.setattr(construction, "expand_node", expand)
+        monkeypatch.setattr(construction, "_expand", expand)  # the walk's seam
         code, out, err = run_cli(["verify", "--j", "2", "--i", "1", "--max-ones", "3"])
         assert (code, out) == (3, "")
         assert "internal soundness violation" in err
@@ -240,6 +266,15 @@ class TestTrace:
         assert (code, len(out.splitlines())) == (0, 4)
         assert walks == [(Pattern(2, 1), 4)]
 
+    def test_over_budget_request_builds_no_tree(self, monkeypatch):
+        walks = spy_on_walks(monkeypatch)
+        code, out, err = run_cli(["trace", "--j", "2", "--i", "1", "--word", "110110", "--budget", "10"])
+        assert (code, out, walks) == (2, "", [])
+        assert err == "budget exceeded: 35 candidate words exceed budget 10\n"
+        walks.clear()  # the word's level fits: the budget is that of its levels only
+        code, out, _ = run_cli(["trace", "--j", "2", "--i", "1", "--word", "110", "--budget", "10"])
+        assert (code, walks) == (0, [(Pattern(2, 1), 2)])
+
     def test_checks_the_levels_up_to_the_word(self):
         # (3,1) raises its sign-balance alarm on this word at level 7
         code, out, err = run_cli(["trace", "--j", "3", "--i", "1", "--word", "0001011101110"])
@@ -294,9 +329,9 @@ class TestTopLevel:
 
     def test_package_exports_every_module_name_once(self):
         import patternforge
-        from patternforge import oracle, succession, verify, words
+        from patternforge import census, oracle, succession, verify, words
 
-        modules = (words, construction, oracle, succession, verify)
+        modules = (words, census, construction, oracle, succession, verify)
         declared = {name for mod in modules for name in mod.__all__}
         assert sorted(patternforge.__all__) == sorted(declared)
         for mod in modules:

@@ -271,16 +271,16 @@ class Boom(Exception):
 
 
 def fail_on(monkeypatch, should_fail):
-    """Make construction.expand_node raise Boom(level, sort_key) on the
-    nodes should_fail picks."""
-    real = construction.expand_node
+    """Make construction._expand, the walk's seam under expand_node, raise
+    Boom(level, sort_key) on the nodes should_fail picks."""
+    real = construction._expand
 
     def expand(node, pattern, max_level=None):
         if should_fail(node):
             raise Boom(node.level, node.sort_key)
         return real(node, pattern, max_level)
 
-    monkeypatch.setattr(construction, "expand_node", expand)
+    monkeypatch.setattr(construction, "_expand", expand)
 
 
 def reference_nodes(pattern: Pattern, max_ones: int) -> list[tuple[TreeNode, ...]]:
@@ -376,8 +376,11 @@ class TestDepthFirstWalk:
         with pytest.raises(Boom) as err:
             run_levels(P21, 5)
         assert err.value.args == (3, [nd for nd in nodes if nd.label > 0][0].sort_key)
-        # a classification failure on the same level comes before any expansion
-        last = [nd for nd in nodes if nd.path_class is None][-1]  # the largest node classify sees
+        # a classification failure on the same level comes before any
+        # expansion.  A node that ends on the axis is never rescanned, so
+        # take (3,1), whose jump-3 families grow label-1 cut children.
+        nodes = [nd for nd in walked_nodes(reference_nodes(P31, 3)) if nd.level == 3]
+        last = [nd for nd in nodes if nd.path_class is None and nd.label > 0][-1]  # the largest node classify sees
         real_classify = construction.classify
 
         def classify_or_fail(mw, pattern):
@@ -387,7 +390,7 @@ class TestDepthFirstWalk:
 
         monkeypatch.setattr(construction, "classify", classify_or_fail)
         with pytest.raises(Boom) as err:
-            run_levels(P21, 5)
+            run_levels(P31, 5)
         assert err.value.args == (3, last.sort_key)
 
     @pytest.mark.parametrize("failing_level,raised", [(4, Boom), (5, NetOutOfRange), (6, NetOutOfRange)])
@@ -522,7 +525,7 @@ class TestAxisReturns:
         levels = [nodes for nodes, *_ in full]
         assert sum(len(nodes) for nodes in levels[:8]) == 28056  # what a full walk expands
         want = [nd for nd in walked_nodes(levels) if nd.level < 8 and (nd.level == 0 or nd.label > 0)]
-        real = construction.expand_node
+        real = construction._expand  # the walk's seam under expand_node
         for keep_nodes in (False, True):  # keeping the nodes walks no further
             seen = []
 
@@ -530,7 +533,7 @@ class TestAxisReturns:
                 seen.append(node)
                 return real(node, pattern, max_level)
 
-            monkeypatch.setattr(construction, "expand_node", spy)
+            monkeypatch.setattr(construction, "_expand", spy)
             spliced = run_levels(P21, 8, keep_nodes=keep_nodes)
             assert sorted(seen, key=lambda nd: (nd.level, nd.sort_key)) == want
             assert len(seen) == 2286
@@ -628,16 +631,45 @@ class TestCarriedState:
 
     def test_run_levels_builds_no_child_past_max_ones(self, monkeypatch):
         built = []
-        real_expand = construction.expand_node
+        real_expand = construction._expand  # the walk's seam under expand_node
 
         def spy(node, pattern, max_level=None):
             groups = real_expand(node, pattern, max_level)
             built.extend(lvl for lvl, kids in groups.items() for _ in kids)
             return groups
 
-        monkeypatch.setattr(construction, "expand_node", spy)
+        monkeypatch.setattr(construction, "_expand", spy)
         run_levels(P41, 5)
         assert built and max(built) == 5
+
+    def test_nodes_that_end_on_the_axis_are_not_rescanned(self, monkeypatch):
+        seen = []
+        real = construction.classify
+
+        def spy(mw, pattern):
+            seen.append(mw)
+            return real(mw, pattern)
+
+        monkeypatch.setattr(construction, "classify", spy)
+        run_levels(P21, 8)  # every (2,1) cut child ends on the axis
+        assert seen == []  # 2,250 rescans when every cut child was classified
+        run_levels(P41, 8)
+        assert len(seen) == 39 and all(height(mw.word) > 0 for mw in seen)  # 358 before
+
+    def test_the_last_level_is_tallied_without_building_nodes(self, monkeypatch):
+        built = []
+        real = construction._nodes
+
+        def spy(parent, level, kids):
+            built.extend(level for _ in kids)
+            return real(parent, level, kids)
+
+        monkeypatch.setattr(construction, "_nodes", spy)
+        run_levels(P31, 6)
+        assert built and max(built) == 5
+        built.clear()
+        run_levels(P31, 6, keep_nodes=True)  # kept nodes are built
+        assert max(built) == 6
 
 
 class TestNodeInvariants:
