@@ -531,9 +531,9 @@ def _walk(
     ends on the axis is not rescanned: it is DELTA_ON_AXIS.  An axis return
     (a label-0 node above the root) is tallied but not expanded; its word
     goes into its level's returns instead, for _run to grow from the
-    censuses.  Without keep, the children at max_ones are tallied as words
-    (word, sign and class) and no node is built for them; they pass the
-    same checks.  A node whose classification or expansion raises grows no
+    censuses.  The children at max_ones are tallied as words (word, sign
+    and class), after the same checks, and never pushed; nodes are built
+    for them only with keep, to offer them to it.  A node whose classification or expansion raises grows no
     subtree, and the walk goes on, since a level-by-level run may meet
     another failure first: on a lower level, or on a smaller node of the
     same level.  The second item returned is the failure such a run meets
@@ -567,9 +567,12 @@ def _walk(
             fail((level, 0, (word, mw.spans, parity)), exc)
             return None
 
-    def tally_leaves(kids: list[_Kid], level: int) -> None:
-        """Tally the kids at max_ones as words, without building nodes."""
+    def tally_leaves(parent: TreeNode, kids: list[_Kid], level: int) -> None:
+        """Tally `parent`'s kids at max_ones as words; nodes are built for
+        them only to offer them to keep."""
         tally = tallies[level]
+        if keep is not None:
+            tally.kept.extend(filter(keep, _nodes(parent, level, kids)))
         plus, minus = tally.plus, tally.minus
         kinds = []
         for word, spans, label, parity, _, pc in kids:
@@ -609,8 +612,8 @@ def _walk(
             fail((level, 1, node.sort_key), exc)
             continue
         for kid_level, kids in groups.items():
-            if kid_level == max_ones and keep is None:
-                tally_leaves(kids, kid_level)
+            if kid_level == max_ones:
+                tally_leaves(node, kids, kid_level)
             else:
                 stack += _nodes(node, kid_level, kids)
     if keep is not None:
@@ -678,7 +681,8 @@ def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> 
     Each node is classified at most once: plain-append children inherit
     their class from the parent, and only nodes built by a cut that end
     above the axis are rescanned.  Children past max_ones are never built,
-    and without keep_nodes those at max_ones are tallied as words; every
+    and those at max_ones are tallied as words, as nodes only with
+    keep_nodes; every
     jump-j family that is built passes its label multiset check.
     """
     if max_ones < 0:
