@@ -2,11 +2,14 @@
 
 Two routes that share no code with the tree construction:
 
-- exhaustive enumeration: grows words depth-first and drops a prefix as
-  soon as it ends with the factor, so its cost scales with the avoiding
-  prefixes, not with the candidate words.  The budget guard still counts
-  the candidates, C(n+m, m) summed over the fall counts m <= n, so the
-  same requests are refused as by a generate-and-filter run;
+- exhaustive enumeration: a level-synchronous grid with no recursion,
+  where cell (ones, zeros) holds the avoiding words with those step counts
+  and each cell is built by prepending a 0 or a 1 to the words of two
+  smaller cells, so its cost scales with the avoiding words, not with the
+  candidate words.  Each source cell is released in slices as its target
+  is built.  The budget guard still counts the candidates, C(n+m, m)
+  summed over the fall counts m <= n, so the same requests are refused as
+  by a generate-and-filter run;
 - a failure-function automaton driving an exact dynamic program over
   (ones, zeros, state) with Python integers.  One sweep over the zeros
   yields the counts for every fall count at once; that row is memoised
@@ -15,6 +18,7 @@ Two routes that share no code with the tree construction:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -32,6 +36,8 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**7
+
+_SLICE = 4096  # words of a source cell that brute_force releases at a time
 
 
 class BudgetExceeded(Exception):
@@ -109,34 +115,39 @@ def brute_force(pattern: Pattern, ones: int, budget: int = DEFAULT_BUDGET) -> li
     """Every avoiding word with exactly `ones` rises and at most that many
     falls, sorted by (length, lexicographic).
 
-    A word contains the factor exactly when one of its prefixes ends with
-    it, and only a fall can complete it, so the walk tests each fall it
-    appends and never extends a prefix that holds the factor.  Trying `0`
-    before `1` meets the words of each fall count in lexicographic order.
+    The words are built by prepending, on a grid with no recursion.  Cell
+    (o, z) holds the avoiding words with o ones and z zeros in lexicographic
+    order: "0" + w for every w of cell (o, z-1), then "1" + w for every w of
+    cell (o-1, z) that does not start with the factor less its first 1.  A
+    prepended 0 never completes 1^j 0^i, and a prepended 1 completes it
+    exactly when the new word starts with it; in a sorted cell the words
+    that would do so form one block, found by bisection and dropped.  Row
+    `ones`, joined in z order, is the output with no sort.  Each source cell
+    is released a slice at a time as its target is built, so a cell and its
+    source never both exist in full.
     """
     _check_budget(ones, budget)
-    factor = pattern.factor
-    by_falls: list[list[str]] = [[] for _ in range(ones + 1)]
-
-    def grow(prefix: str, o: int, z: int) -> None:
-        if o == ones:  # only falls are left to append
-            while True:
-                by_falls[z].append(prefix)
-                if z == ones:
-                    return
-                prefix += "0"
-                if prefix.endswith(factor):
-                    return
-                z += 1
-        if z < ones:
-            fell = prefix + "0"
-            if not fell.endswith(factor):
-                grow(fell, o, z + 1)
-        grow(prefix + "1", o + 1, z)
-
-    if ones >= 0:
-        grow("", 0, 0)
-    return [word for words in by_falls for word in words]
+    if ones < 0:
+        return []
+    tail = pattern.factor[1:]
+    past_tail = tail + "2"  # sorts after every word that starts with tail
+    row = [["0" * z] for z in range(ones + 1)]  # row 0: only zeros
+    for _ in range(ones):
+        below: list[str] = []  # cell (o, z-1) of the row being built
+        for z, source in enumerate(row):
+            cell = list(map("0".__add__, below))
+            start = bisect_left(source, tail)
+            del source[start : bisect_left(source, past_tail, start)]
+            while source:
+                cell += map("1".__add__, source[:_SLICE])
+                del source[:_SLICE]
+            row[z] = below = cell
+    # Joined onto the last cell, the largest, so the list grows from it
+    # and no copy of the whole row is made while the row is still held.
+    words = row.pop()
+    while row:
+        words[:0] = row.pop()
+    return words
 
 
 @lru_cache(maxsize=256)

@@ -11,6 +11,11 @@ names one child label, or an inclusive ascending range; "~" marks the
 children (their sign flips), "^" gives a multiplicity (default 1).  Every
 node at each level fires every production; a production with jump g sends
 its children g levels deeper.  Enumeration reads plus minus minus per label.
+
+The evaluator expands a level's nodes with their counts, and adds each child
+range to its target level as two edges, +c at its first label and -c past
+its last; a running sum turns a level's edges into counts when that level is
+expanded, so an atom costs the same whatever the length of its range.
 """
 
 from __future__ import annotations
@@ -300,32 +305,59 @@ class LevelCensus:
 
 
 def expand_census(rule: RuleSpec, levels: int) -> list[LevelCensus]:
-    """Aggregate node counts per (level, label, sign) for levels 0..levels."""
-    table: list[dict[tuple[int, bool], int]] = [dict() for _ in range(levels + 1)]
-    table[0][(rule.axiom, False)] = 1
-    for level in range(levels + 1):
-        for (label, minus), count in table[level].items():
-            for prod in rule.productions:
-                target = level + prod.jump
-                if target > levels:
-                    continue
-                bucket = table[target]
-                for atom in prod.atoms:
-                    mult = atom.multiplicity(label)
-                    if mult == 0:
-                        continue
-                    sign = minus ^ atom.marked
-                    for child in atom.labels(label):
-                        key = (child, sign)
-                        bucket[key] = bucket.get(key, 0) + count * mult
+    """Aggregate node counts per (level, label, sign) for levels 0..levels.
+
+    Every node of a level is expanded at once with its count.  An atom adds
+    count * multiplicity to every label of its child range, and stores that
+    range as two edges in the target level's map for the child sign: +c at
+    lo and -c at hi+1.  When a level becomes the source, a running sum over
+    its edges gives its (label, sign) counts, so an atom costs O(1), not
+    O(range length).  Labels come out in ascending order.
+
+    NegativeLabel is raised at the first level holding a node whose atom
+    yields a negative label or multiplicity (counting only productions that
+    land within `levels`); within that level, the node named is the one
+    with the smallest (label, sign), minus after plus.
+    """
+    # edges[level][sign]: label -> change of the count there, sign 0 plus, 1 minus
+    edges: list[tuple[dict[int, int], dict[int, int]]] = [({}, {}) for _ in range(levels + 1)]
+    edges[0][0].update({rule.axiom: 1, rule.axiom + 1: -1})
     out = []
-    for level, cells in enumerate(table):
-        counts: dict[int, tuple[int, int]] = {}
-        for (label, minus), count in sorted(cells.items()):
-            p, m = counts.get(label, (0, 0))
-            counts[label] = (p, m + count) if minus else (p + count, m)
+    for level in range(levels + 1):
+        plus, minus = map(_running_sum, edges[level])
+        counts = {label: (plus.get(label, 0), minus.get(label, 0)) for label in sorted(plus.keys() | minus)}
         out.append(LevelCensus(level, counts))
+        for label, pair in counts.items():
+            for sign, count in enumerate(pair):
+                if not count:
+                    continue
+                for prod in rule.productions:
+                    target = level + prod.jump
+                    if target > levels:
+                        continue
+                    for atom in prod.atoms:
+                        mult = atom.multiplicity(label)
+                        if mult == 0:
+                            continue
+                        children = atom.labels(label)
+                        if children:
+                            bucket = edges[target][sign ^ atom.marked]
+                            add = count * mult
+                            bucket[children.start] = bucket.get(children.start, 0) + add
+                            bucket[children.stop] = bucket.get(children.stop, 0) - add
     return out
+
+
+def _running_sum(edges: dict[int, int]) -> dict[int, int]:
+    """label -> count from one level's range edges, in ascending label order."""
+    counts: dict[int, int] = {}
+    run = 0
+    bounds = sorted(edges)
+    for lo, hi in zip(bounds, bounds[1:]):
+        run += edges[lo]
+        if run:
+            counts.update(dict.fromkeys(range(lo, hi), run))
+    return counts
 
 
 @dataclass(frozen=True, slots=True)

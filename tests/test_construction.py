@@ -466,6 +466,29 @@ class TestDepthFirstWalk:
         kept = run_levels(pattern, level - 1, keep_nodes=True)
         assert [rep.nodes for rep in kept.levels] == reference_nodes(pattern, level - 1)
 
+    def test_kept_nodes_that_tie_on_sort_key_are_reported_in_lineage_order(self, monkeypatch):
+        # no reported level holds a tie, so twins of one kept node are made:
+        # same word, spans and sign, met by the walk out of lineage order
+        real_walk = construction._walk
+        level = 4
+        chosen = []
+
+        def walk_with_twins(*args):
+            tallies, failure = real_walk(*args)
+            kept = tallies[level].kept
+            node = kept[len(kept) // 2]
+            chosen.append(node)
+            kept.insert(0, replace(node, provenance=node.provenance + ("~",)))  # lineage after the node's
+            kept.append(replace(node, provenance=()))  # lineage before it
+            return tallies, failure
+
+        monkeypatch.setattr(construction, "_walk", walk_with_twins)
+        nodes = run_levels(P21, 5, keep_nodes=True).levels[level].nodes
+        (node,) = chosen
+        assert node.provenance
+        twins = [nd.provenance for nd in nodes if nd.sort_key == node.sort_key]
+        assert twins == [(), node.provenance, node.provenance + ("~",)]
+
     def test_memory_holds_words_not_copies(self):
         def peak(**kwargs):
             tracemalloc.start()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from patternforge.succession import (
     Affine,
     Atom,
     CensusDiff,
+    LevelCensus,
     NegativeLabel,
     Production,
     RuleParseError,
@@ -21,6 +24,9 @@ from patternforge.succession import (
 CATALAN_MARKED = "axiom: 2\njump 1: (2..k+1), (k)\njump 1: (k)~\n"
 CATALAN_PLAIN = "axiom: 2\njump 1: (2..k+1)\n"
 CATALAN = [1, 2, 5, 14, 42, 132]
+RULE_FILES = sorted((Path(__file__).resolve().parents[1] / "rules").glob("*.rule"))
+# the j - i = 1 label rule, whose net census is the (j, j-1) tree's
+LABEL_RULE = "axiom: 0\njump 1: (0..k+1), (0)\njump {j}: (0..k+1)~, (0)~\n"
 
 
 class TestAffine:
@@ -193,3 +199,134 @@ class TestSignPropagation:
             {1: (1, 0)},
             {1: (0, 1)},
         ]
+
+
+def per_child_census(rule: RuleSpec, levels: int) -> list[LevelCensus]:
+    """Reference: the evaluator as it ran before range edges, one dict cell
+    written per child label."""
+    table: list[dict[tuple[int, bool], int]] = [dict() for _ in range(levels + 1)]
+    table[0][(rule.axiom, False)] = 1
+    for level in range(levels + 1):
+        for (label, minus), count in table[level].items():
+            for prod in rule.productions:
+                target = level + prod.jump
+                if target > levels:
+                    continue
+                bucket = table[target]
+                for atom in prod.atoms:
+                    mult = atom.multiplicity(label)
+                    if mult == 0:
+                        continue
+                    sign = minus ^ atom.marked
+                    for child in atom.labels(label):
+                        key = (child, sign)
+                        bucket[key] = bucket.get(key, 0) + count * mult
+    out = []
+    for level, cells in enumerate(table):
+        counts: dict[int, tuple[int, int]] = {}
+        for (label, minus), count in sorted(cells.items()):
+            p, m = counts.get(label, (0, 0))
+            counts[label] = (p, m + count) if minus else (p + count, m)
+        out.append(LevelCensus(level, counts))
+    return out
+
+
+def outcome(evaluate, rule: RuleSpec, levels: int):
+    """(evaluate(rule, levels), None), or (None, (the NegativeLabel it
+    raised, the locals of its frame)): the frame names the level being
+    expanded."""
+    try:
+        return evaluate(rule, levels), None
+    except NegativeLabel as exc:
+        tb = exc.__traceback__
+        while tb.tb_frame.f_code is not evaluate.__code__:
+            tb = tb.tb_next
+        return None, (exc, tb.tb_frame.f_locals)
+
+
+def smallest_failure(rule: RuleSpec, levels: int, level: int, nodes) -> str:
+    """The message NegativeLabel carries for the smallest (label, sign) of
+    `nodes` at `level` whose productions, within `levels`, yield a negative
+    label or multiplicity."""
+    for label, _minus in sorted(nodes):
+        try:
+            for prod in rule.productions:
+                if level + prod.jump <= levels:
+                    for atom in prod.atoms:
+                        if atom.multiplicity(label):
+                            atom.labels(label)
+        except NegativeLabel as exc:
+            return str(exc)
+    raise AssertionError(f"no node of level {level} fails")
+
+
+def assert_matches_per_child(rule: RuleSpec, levels: int) -> None:
+    want, failure = outcome(per_child_census, rule, levels)
+    have, got = outcome(expand_census, rule, levels)
+    if failure is None:
+        assert got is None, str(got[0])
+        assert [(c.level, c.counts) for c in have] == [(c.level, c.counts) for c in want]
+        assert [list(c.counts) for c in have] == [list(c.counts) for c in want]
+        return
+    level = failure[1]["level"]
+    assert got is not None, f"per-child evaluator raised at level {level}, expand_census returned"
+    exc, frame = got
+    assert frame["level"] == level
+    assert str(exc) == smallest_failure(rule, levels, level, failure[1]["table"][level])
+
+
+# the label pool widened with k-1, k-2 and k-3, negative for small k; a
+# range can also come out empty (hi < lo)
+_wide_label = st.one_of(_nonneg, st.builds(Affine, st.just(1), st.integers(-3, -1)))
+_wide_atom_st = st.builds(
+    Atom,
+    lo=_wide_label,
+    hi=st.one_of(st.none(), _wide_label),
+    marked=st.booleans(),
+    # multiplicity 0, and k-dependent ones, negative for small k
+    mult=st.one_of(
+        st.builds(Affine, st.just(0), st.integers(0, 2)),
+        st.builds(Affine, st.just(1), st.integers(-2, 1)),
+    ),
+)
+_wide_rule_st = st.builds(
+    RuleSpec,
+    axiom=st.integers(0, 3),
+    productions=st.lists(
+        st.builds(
+            Production,
+            jump=st.integers(1, 3),
+            atoms=st.lists(_wide_atom_st, min_size=1, max_size=3).map(tuple),
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(tuple),
+)
+
+
+class TestRangeEdges:
+    """expand_census adds each child range as two edges; the per-child
+    evaluator it replaced is the reference."""
+
+    @pytest.mark.parametrize("path", RULE_FILES, ids=lambda path: path.name)
+    def test_committed_rules(self, path):
+        assert_matches_per_child(parse_rule(path.read_text()), 60)
+
+    @pytest.mark.parametrize("j", [2, 3, 4, 5])
+    def test_label_rule(self, j):
+        assert_matches_per_child(parse_rule(LABEL_RULE.format(j=j)), 30)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_wide_rule_st, st.integers(0, 8))
+    def test_random_rules(self, rule, levels):
+        assert_matches_per_child(rule, levels)
+
+    def test_smallest_failing_node_of_the_level_is_named(self):
+        # level 1 holds labels 3, 1, 0, 2, ... in the order they were
+        # reached; every label below 6 fails (k-6..k), and label 0 is named
+        rule = parse_rule("axiom: 6\njump 1: (3), (1), (k-6..k)\n")
+        with pytest.raises(NegativeLabel, match=r"^label -6 from atom \(k-6\.\.\) at k=0$"):
+            expand_census(rule, 2)
+        _, (exc, frame) = outcome(per_child_census, rule, 2)
+        assert (frame["level"], str(exc)) == (1, "label -3 from atom (k-6..) at k=3")
+        assert_matches_per_child(rule, 2)
