@@ -135,11 +135,11 @@ def brute_force(pattern: Pattern, ones: int, budget: int = DEFAULT_BUDGET) -> li
     for _ in range(ones):
         below: list[str] = []  # cell (o, z-1) of the row being built
         for z, source in enumerate(row):
-            cell = list(map("0".__add__, below))
+            cell = ["0" + w for w in below]
             start = bisect_left(source, tail)
             del source[start : bisect_left(source, past_tail, start)]
             while source:
-                cell += map("1".__add__, source[:_SLICE])
+                cell += ["1" + w for w in source[:_SLICE]]
                 del source[:_SLICE]
             row[z] = below = cell
     # Joined onto the last cell, the largest, so the list grows from it

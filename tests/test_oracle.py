@@ -120,7 +120,7 @@ class TestBruteForce:
     def test_peak_memory_stays_near_the_output(self):
         """The grid releases each source cell in slices as it builds the
         target, so no cell is held twice.  Measured: 1.04 (a full source
-        cell held while its target is built: 1.37; the depth-first walk:
+        cell held while its target is built: 1.34; the depth-first walk:
         1.00)."""
         tracemalloc.start()
         try:
