@@ -156,7 +156,9 @@ def cmd_render(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         spans = tuple(int(s) for s in args.spans.split(",")) if args.spans else ()
     except ValueError:
         parser.error(f"--spans must be comma-separated integers, got {args.spans!r}")
-    if args.j is not None and args.i is not None:
+    if (args.j is None) != (args.i is None):
+        parser.error("--j and --i must be given together")
+    if args.j is not None:
         pattern = _pattern(parser, args)
         try:
             MarkedWord(word, spans).validate(pattern)

@@ -33,15 +33,14 @@ for all others, which run_levels enforces.
 A node's children depend on that node alone, and the only state the
 whole tree shares is the per-level census, a sum that ignores order.  So
 run_levels walks the tree depth-first with an explicit stack and counts
-each node into its level's censuses as it is met.  The walk tallies the
-words it meets in small dicts; each level's census is then a dense one
-(see census): one list of copies per sign and zero count, indexed by the
-word's lexicographic rank, so a level with n ones costs C(2n+1, n) cells
-per sign, whatever its copies number.  Without keep_nodes, the children at
-max_ones are tallied as words (word, sign, class) and no node is built for
-them.  A node that fails to classify or expand is held back until every
-lower level has been checked, so failures surface in the order of a
-level-by-level run.
+each copy into its level's censuses where its parent's production makes
+it.  The walk tallies the words it meets in small dicts; each level's
+census is then a dense one (see census): one list of copies per sign and
+zero count, indexed by the word's lexicographic rank, so a level with n
+ones costs C(2n+1, n) cells per sign, whatever its copies number.  A node
+is built only for a copy the walk expands or the caller keeps.  A copy
+that fails to classify or expand is held back until every lower level has
+been checked, so failures surface in the order of a level-by-level run.
 
 Axis returns.  A node q that ends on the axis above the root (label 0,
 level m >= 1) grows the whole tree again behind its word: every child of
@@ -62,14 +61,13 @@ walk, splice and level checks, that keeps the factors of its word.  Only
 the lineages of a NetOutOfRange come from a second walk, which checks
 nothing and runs only once a level has failed.
 
-Each node is classified at most once.  A plain-append child inherits its
+Each copy is classified at most once.  A plain-append child inherits its
 class (and suffix start) from its parent, since the appended steps never
 touch the axis before the endpoint; only children built by a cut are
 rescanned, and only those above the axis: a word that ends on the axis is
-DELTA_ON_AXIS whatever its spans, and such a node above the root is never
-expanded.
-run_levels never builds a child past max_ones, and every jump-j family
-that is built passes its label multiset check.
+DELTA_ON_AXIS whatever its spans, and such a copy above the root is never
+expanded.  run_levels never builds a child past max_ones, and every
+jump-j family that is built passes its label multiset check.
 """
 
 from __future__ import annotations
@@ -497,7 +495,7 @@ class RunResult:
 
 @dataclass(slots=True)
 class _LevelTally:
-    """What the walk keeps of one level: copies per word by sign, nodes per
+    """What the walk keeps of one level: copies per word by sign, copies per
     class, the nodes the caller asked for, and the axis returns it did not
     expand, as word -> [plus copies, minus copies]."""
 
@@ -522,23 +520,22 @@ _ON_AXIS = PathClass(PathKind.DELTA_ON_AXIS, 0)
 
 
 def _walk(
-    pattern: Pattern, max_ones: int, keep: Callable[[TreeNode], bool] | None = None
+    pattern: Pattern, max_ones: int, keep: Callable[[str], bool] | None = None
 ) -> tuple[list[_LevelTally], tuple[tuple, Exception] | None]:
     """Walk the tree depth-first from the root down to max_ones rise steps.
 
-    Each node is tallied at its level, kept when keep(node) holds, then
-    classified and, below max_ones, expanded through _expand.  A node that
-    ends on the axis is not rescanned: it is DELTA_ON_AXIS.  An axis return
-    (a label-0 node above the root) is tallied but not expanded; its word
-    goes into its level's returns instead, for _run to grow from the
-    censuses.  The children at max_ones are tallied as words (word, sign
-    and class), after the same checks, and never pushed; nodes are built
-    for them only with keep, to offer them to it.  A node whose classification or expansion raises grows no
-    subtree, and the walk goes on, since a level-by-level run may meet
-    another failure first: on a lower level, or on a smaller node of the
-    same level.  The second item returned is the failure such a run meets
-    first, as ((level, 0 for classify or 1 for expand, sort_key),
-    exception), or None.
+    Each copy is counted once, by tally, where its parent's _expand made
+    it: tallied at its level, kept as a node when keep(word) holds, and
+    classified when it carries no class (a copy that ends on the axis is
+    DELTA_ON_AXIS).  Only copies below max_ones that end above the axis
+    become nodes on the stack, to be expanded.  An axis return (a label-0
+    copy above the root) is not expanded; its word goes into its level's
+    returns instead, for _run to grow from the censuses.  A copy whose
+    classification or expansion raises grows no subtree, and the walk
+    goes on, since a level-by-level run may meet another failure first:
+    on a lower level, or on a smaller copy of the same level.  The second
+    item returned is the failure such a run meets first, as ((level, 0
+    for classify or 1 for expand, sort_key), exception), or None.
 
     With keep, level n then also keeps, where keep holds, each kept walked
     return of level m (1 <= m < n) put in front of each kept node of level
@@ -555,72 +552,55 @@ def _walk(
         if failure is None or key < failure[0]:
             failure = (key, exc)
 
-    def rescan(word: str, spans: tuple[int, ...], label: int, parity: int, level: int) -> PathClass | None:
-        """The class of a copy that carries none (the root, or a child built
-        by a cut), or None once its failure is held."""
-        if label == 0:
-            return _ON_AXIS
-        mw = MarkedWord(word, spans)
-        try:
-            return classify(mw, pattern)
-        except Exception as exc:
-            fail((level, 0, (word, mw.spans, parity)), exc)
-            return None
-
-    def tally_leaves(parent: TreeNode, kids: list[_Kid], level: int) -> None:
-        """Tally `parent`'s kids at max_ones as words; nodes are built for
-        them only to offer them to keep."""
-        tally = tallies[level]
-        if keep is not None:
-            tally.kept.extend(filter(keep, _nodes(parent, level, kids)))
-        plus, minus = tally.plus, tally.minus
+    def tally(lineage: tuple[str, ...], kids: list[_Kid], level: int) -> list[TreeNode]:
+        """Count the kids at `level` of the node with `lineage`, and return
+        the nodes among them that the walk must expand."""
+        here = tallies[level]
+        plus, minus = here.plus, here.minus
         kinds = []
-        for word, spans, label, parity, _, pc in kids:
+        nodes = []
+        for word, spans, label, parity, tag, pc in kids:
             copies = plus if parity > 0 else minus
             copies[word] = copies.get(word, 0) + 1
-            pc = pc or rescan(word, spans, label, parity, level)
-            if pc is not None:
-                kinds.append(pc.kind)
+            if keep is not None and keep(word):
+                here.kept.append(TreeNode(MarkedWord(word, spans), label, parity, level, lineage + (tag,), pc))
+            if pc is None:  # built by a cut
+                try:
+                    pc = classify(MarkedWord(word, spans), pattern) if label else _ON_AXIS
+                except Exception as exc:
+                    fail((level, 0, (word, spans, parity)), exc)
+                    continue
+            kinds.append(pc.kind)
+            if level == max_ones:
+                continue
+            if label:
+                nodes.append(TreeNode(MarkedWord(word, spans), label, parity, level, lineage + (tag,), pc))
+            else:
+                here.returns.setdefault(word, [0, 0])[parity < 0] += 1
         for kind in PathKind:  # counted by identity: an Enum member hashes in Python
             if kind in kinds:
-                tally.classes[kind] += kinds.count(kind)
+                here.classes[kind] += kinds.count(kind)
+        return nodes
 
-    stack = [TreeNode(MarkedWord(""), 0, 1, 0)]
+    tallies[0].plus[""] = 1  # no production makes the root: count it here
+    tallies[0].classes[_ON_AXIS.kind] = 1
+    if keep is not None and keep(""):
+        tallies[0].kept.append(TreeNode(MarkedWord(""), 0, 1, 0))
+    stack = [TreeNode(MarkedWord(""), 0, 1, 0, (), _ON_AXIS)] if max_ones else []
     while stack:
         node = stack.pop()
-        level = node.level
-        tally = tallies[level]
-        copies = tally.plus if node.parity > 0 else tally.minus
-        word = node.mw.word
-        copies[word] = copies.get(word, 0) + 1
-        if keep is not None and keep(node):
-            tally.kept.append(node)
-        pc = node.path_class or rescan(word, node.mw.spans, node.label, node.parity, level)
-        if pc is None:
-            continue
-        tally.classes[pc.kind] += 1
-        if level == max_ones:
-            continue
-        if node.label == 0 and level:
-            tally.returns.setdefault(word, [0, 0])[node.parity < 0] += 1
-            continue
-        if node.path_class is None:  # rescanned: hand the class on with the node
-            node = replace(node, path_class=pc)
         try:
             groups = _expand(node, pattern, max_ones)
         except Exception as exc:
-            fail((level, 1, node.sort_key), exc)
+            fail((node.level, 1, node.sort_key), exc)
             continue
-        for kid_level, kids in groups.items():
-            if kid_level == max_ones:
-                tally_leaves(node, kids, kid_level)
-            else:
-                stack += _nodes(node, kid_level, kids)
+        for level, kids in groups.items():
+            stack += tally(node.provenance, kids, level)
     if keep is not None:
-        walked = [[q for q in tally.kept if q.label == 0] for tally in tallies]  # before any is grown
-        for n, tally in enumerate(tallies):
-            grown = (_behind(q, nd) for m in range(1, n) for q in walked[m] for nd in tallies[n - m].kept)
-            tally.kept.extend(filter(keep, grown))
+        walked = [[q for q in t.kept if q.label == 0] for t in tallies]  # before any is grown
+        for n, t in enumerate(tallies):
+            grown = ((q, nd) for m in range(1, n) for q in walked[m] for nd in tallies[n - m].kept)
+            t.kept.extend(_behind(q, nd) for q, nd in grown if keep(q.mw.word + nd.mw.word))
     return tallies, failure
 
 
@@ -642,7 +622,7 @@ def _lineages(pattern: Pattern, word: str) -> tuple[tuple[str, ...], ...]:
     walk to its level that keeps only the factors of `word` and checks no
     level: NetOutOfRange carries them once the word's level has failed."""
     level = word.count("1")
-    tallies, _ = _walk(pattern, level, lambda node: node.mw.word in word)
+    tallies, _ = _walk(pattern, level, lambda w: w in word)
     copies = sorted((nd for nd in tallies[level].kept if nd.mw.word == word), key=_node_order)
     return tuple(nd.provenance for nd in copies)
 
@@ -650,14 +630,15 @@ def _lineages(pattern: Pattern, word: str) -> tuple[tuple[str, ...], ...]:
 def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> RunResult:
     """Grow the tree up to max_ones rise steps.
 
-    The tree is walked depth-first and every node is counted into its
-    level's censuses as it is met, so memory holds each level's dense
-    census (C(2n+1, n) cells per sign for n ones), the walk's tallies and
-    its stack, not the copies (unless keep_nodes).  Per level the report
-    carries the label census, the word census as a read-only Mapping in
-    ascending word order (census.WordCensus), the surviving words (net 1),
-    the class tallies of every node and, with keep_nodes, the nodes sorted
-    by (word, spans, parity, lineage).
+    The tree is walked depth-first and every copy is counted into its
+    level's censuses where its parent's production makes it, so memory
+    holds each level's dense census (C(2n+1, n) cells per sign for n
+    ones), the walk's tallies and its stack, not the copies (unless
+    keep_nodes).  Per level the report carries the label census, the word
+    census as a read-only Mapping in ascending word order
+    (census.WordCensus), the surviving words (net 1), the class tallies
+    of every copy and, with keep_nodes, the nodes sorted by (word, spans,
+    parity, lineage).
 
     The walk does not expand an axis return: a node q with label 0 at level
     m >= 1 roots a copy of the whole tree behind q.word (see the module
@@ -678,19 +659,19 @@ def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> 
     failing level is met by the walk, and failures surface exactly as a
     level-by-level run would raise them.
 
-    Each node is classified at most once: plain-append children inherit
-    their class from the parent, and only nodes built by a cut that end
-    above the axis are rescanned.  Children past max_ones are never built,
-    and those at max_ones are tallied as words, as nodes only with
-    keep_nodes; every
-    jump-j family that is built passes its label multiset check.
+    Each copy is classified at most once: plain-append children inherit
+    their class from the parent, and only copies built by a cut that end
+    above the axis are rescanned.  Children past max_ones are never built;
+    a node is built only for a copy that is expanded, or kept with
+    keep_nodes.  Every jump-j family that is built passes its label
+    multiset check.
     """
     if max_ones < 0:
         raise ValueError("max_ones must be >= 0")
-    return _run(pattern, max_ones, (lambda node: True) if keep_nodes else None)
+    return _run(pattern, max_ones, (lambda w: True) if keep_nodes else None)
 
 
-def _run(pattern: Pattern, max_ones: int, keep: Callable[[TreeNode], bool] | None) -> RunResult:
+def _run(pattern: Pattern, max_ones: int, keep: Callable[[str], bool] | None) -> RunResult:
     """run_levels and copies_of: one walk to max_ones (see _walk), then
     each level spliced, checked and reported in turn, with the nodes keep
     accepts in node order whenever keep is given."""
@@ -747,4 +728,4 @@ def copies_of(pattern: Pattern, word: str) -> list[TreeNode]:
     copies below an axis return are grown from those of the return and of
     a suffix, so memory holds the walk's censuses and those factors, not
     every node."""
-    return collect_copies(_run(pattern, word.count("1"), lambda node: node.mw.word in word), word)
+    return collect_copies(_run(pattern, word.count("1"), lambda w: w in word), word)

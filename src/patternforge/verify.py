@@ -49,6 +49,10 @@ def verify_pattern(
     _check_levels(max_ones, budget)  # refuse before any tree is built
     if result is None:
         result = run_levels(pattern, max_ones)
+    elif (result.pattern, result.max_ones) != (pattern, max_ones):
+        raise ValueError(
+            f"result is a run of {result.pattern} to {result.max_ones} ones, not of {pattern} to {max_ones}"
+        )
     verdicts = []
     for rep in result.levels:
         n = rep.level

@@ -315,6 +315,13 @@ class TestRender:
         assert (code, out) == (2, "")
         assert "no factor shape at span start -1" in err
 
+    @pytest.mark.parametrize("flag", ["--j", "--i"])
+    def test_one_of_j_and_i_without_the_other_is_a_usage_error(self, flag):
+        # the lone flag was ignored: the span was drawn unvalidated, exit 0
+        code, out, err = run_cli(["render", "--word", "1100", "--spans", "0", flag, "3"])
+        assert (code, out) == (2, "")
+        assert "--j and --i must be given together" in err
+
     def test_malformed_span_list_is_a_usage_error(self):
         code, out, err = run_cli(["render", "--word", "110", "--spans", "0,,1"])
         assert (code, out) == (2, "")

@@ -679,20 +679,45 @@ class TestCarriedState:
         run_levels(P41, 8)
         assert len(seen) == 39 and all(height(mw.word) > 0 for mw in seen)  # 358 before
 
-    def test_the_last_level_is_tallied_without_building_nodes(self, monkeypatch):
+    @staticmethod
+    def spy_on_nodes(monkeypatch) -> list[TreeNode]:
         built = []
-        real = construction._nodes
+        real = construction.TreeNode
 
-        def spy(parent, level, kids):
-            built.extend(level for _ in kids)
-            return real(parent, level, kids)
+        def spy(*args):
+            node = real(*args)
+            built.append(node)
+            return node
 
-        monkeypatch.setattr(construction, "_nodes", spy)
-        run_levels(P31, 6)
-        assert built and max(built) == 5
+        monkeypatch.setattr(construction, "TreeNode", spy)
+        return built
+
+    def test_the_walk_builds_a_node_only_to_expand_it(self, monkeypatch):
+        built = self.spy_on_nodes(monkeypatch)
+        expanded = []
+        real_expand = construction._expand  # the walk's seam under expand_node
+
+        def spy(node, pattern, max_level=None):
+            expanded.append(node)
+            return real_expand(node, pattern, max_level)
+
+        monkeypatch.setattr(construction, "_expand", spy)
+        run_levels(P21, 8)
+        # 3,780 when a node was built for every axis return as well
+        assert len(built) == len(expanded) == 2286
+        assert {id(nd) for nd in built} == {id(nd) for nd in expanded}
         built.clear()
         run_levels(P31, 6, keep_nodes=True)  # kept nodes are built
-        assert max(built) == 6
+        assert max(nd.level for nd in built) == 6
+
+    def test_copies_of_builds_no_node_for_a_word_it_does_not_keep(self, monkeypatch):
+        built = self.spy_on_nodes(monkeypatch)
+        word = "11011011011"
+        copies = copies_of(P21, word)
+        last = [nd for nd in built if nd.level == 8]
+        # 11,147 level-8 nodes when every walked copy was offered to keep
+        assert all(nd.mw.word in word for nd in last)
+        assert len(last) == len(copies) == 8
 
 
 class TestNodeInvariants:
