@@ -170,6 +170,9 @@ def cmd_render(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             extents = {s: _span_extent(word, s) for s in spans}
         except ValueError as exc:
             parser.error(str(exc))
+        starts = sorted(spans)
+        if any(b < a + extents[a] for a, b in zip(starts, starts[1:])):
+            parser.error(f"overlapping spans {args.spans!r} in {word!r}")
     prof = profile(word)
     for y in range(max(prof), min(prof) - 1, -1):
         cells = "".join("*" if v == y else " " for v in prof)

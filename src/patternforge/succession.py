@@ -1,10 +1,16 @@
 """A tiny language for jumping, marked succession rules, and its evaluator.
 
-Grammar (whitespace insignificant; productions separated by ';' or newline):
+Grammar (productions separated by ';' or newline):
 
     rule       := "axiom" ":" INT (sep production)+
     production := "jump" INT ":" atom ("," atom)*
     atom       := "(" expr ( ".." expr )? ")" ["~"] ["^" expr]
+
+Tokens are read by one regular expression.  INT is a run of ASCII digits
+0-9; a name is ASCII letters, digits and '_', not starting with a digit;
+spaces, tabs and carriage returns between tokens are skipped.  Any other
+character, an integer too long for int(), or a token out of place raises
+RuleParseError with the line and column of the token at fault.
 
 An expr is affine in the label variable k (integers, k, +, -, *).  An atom
 names one child label, or an inclusive ascending range; "~" marks the
@@ -20,6 +26,7 @@ expanded, so an atom costs the same whatever the length of its range.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -102,64 +109,25 @@ class RuleSpec:
 
 # --- parser -----------------------------------------------------------------
 
-_PUNCT = {
-    "..": "DOTS",
-    ":": "COLON",
-    ";": "SEP",
-    ",": "COMMA",
-    "(": "LPAR",
-    ")": "RPAR",
-    "~": "TILDE",
-    "^": "CARET",
-    "+": "PLUS",
-    "-": "MINUS",
-    "*": "STAR",
-}
+_TOKEN = re.compile(
+    r"(?P<SEP>[;\n])|(?P<DOTS>\.\.)|(?P<COLON>:)|(?P<COMMA>,)|(?P<LPAR>\()|(?P<RPAR>\))"
+    r"|(?P<TILDE>~)|(?P<CARET>\^)|(?P<PLUS>\+)|(?P<MINUS>-)|(?P<STAR>\*)"
+    r"|(?P<INT>[0-9]+)|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)|(?P<SPACE>[ \t\r]+)|(?P<BAD>.)"
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
     toks = []
-    line, col = 1, 1
-    pos = 0
-    n = len(text)
-    while pos < n:
-        c = text[pos]
-        if c == "\n":
-            toks.append(("SEP", "\n", line, col))
-            line += 1
-            col = 1
-            pos += 1
-            continue
-        if c in " \t\r":
-            pos += 1
-            col += 1
-            continue
-        if text.startswith("..", pos):
-            toks.append(("DOTS", "..", line, col))
-            pos += 2
-            col += 2
-            continue
-        if c in _PUNCT:
-            toks.append((_PUNCT[c], c, line, col))
-            pos += 1
-            col += 1
-            continue
-        if c.isdigit():
-            start = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            toks.append(("INT", text[start:pos], line, col))
-            col += pos - start
-            continue
-        if c.isalpha() or c == "_":
-            start = pos
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            toks.append(("NAME", text[start:pos], line, col))
-            col += pos - start
-            continue
-        raise RuleParseError(f"unexpected character {c!r}", line, col)
-    toks.append(("EOF", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, val, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "BAD":
+            raise RuleParseError(f"unexpected character {val!r}", line, col)
+        if kind != "SPACE":
+            toks.append((kind, val, line, col))
+        if val == "\n":
+            line, line_start = line + 1, m.end()
+    toks.append(("EOF", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -176,8 +144,15 @@ class _Parser:
         self.pos += 1
         return t
 
-    def fail(self, message: str) -> None:
-        _, _, line, col = self.peek()
+    def take(self, kind: str) -> bool:
+        """Consume the next token if it is of this kind."""
+        if self.peek()[0] != kind:
+            return False
+        self.pos += 1
+        return True
+
+    def fail(self, message: str, tok: tuple[str, str, int, int] | None = None) -> None:
+        _, _, line, col = tok or self.peek()
         raise RuleParseError(message, line, col)
 
     def expect(self, kind: str, what: str) -> tuple[str, str, int, int]:
@@ -185,9 +160,16 @@ class _Parser:
             self.fail(f"expected {what}")
         return self.next()
 
+    def integer(self, what: str) -> int:
+        tok = self.expect("INT", what)
+        try:
+            return int(tok[1])
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            raise RuleParseError(f"integer of {len(tok[1])} digits is too long", tok[2], tok[3]) from None
+
     def skip_seps(self) -> None:
-        while self.peek()[0] == "SEP":
-            self.next()
+        while self.take("SEP"):
+            pass
 
     def keyword(self, word: str) -> None:
         kind, val, _, _ = self.peek()
@@ -200,35 +182,30 @@ class _Parser:
     def expr(self) -> Affine:
         value = self.term()
         while self.peek()[0] in ("PLUS", "MINUS"):
-            op = self.next()[0]
+            sign = 1 if self.next()[0] == "PLUS" else -1
             rhs = self.term()
-            if op == "PLUS":
-                value = Affine(value.coeff + rhs.coeff, value.const + rhs.const)
-            else:
-                value = Affine(value.coeff - rhs.coeff, value.const - rhs.const)
+            value = Affine(value.coeff + sign * rhs.coeff, value.const + sign * rhs.const)
         return value
 
     def term(self) -> Affine:
         value = self.factor()
-        while self.peek()[0] == "STAR":
-            self.next()
+        while self.take("STAR"):
+            at = self.peek()
             rhs = self.factor()
             if value.coeff and rhs.coeff:
-                self.fail("expression is not affine in k")
+                self.fail("expression is not affine in k", at)
             if rhs.coeff:
                 value, rhs = rhs, value
             value = Affine(value.coeff * rhs.const, value.const * rhs.const)
         return value
 
     def factor(self) -> Affine:
-        kind, val, _, _ = self.peek()
-        if kind == "MINUS":
-            self.next()
+        if self.take("MINUS"):
             inner = self.factor()
             return Affine(-inner.coeff, -inner.const)
+        kind, val, _, _ = self.peek()
         if kind == "INT":
-            self.next()
-            return Affine(0, int(val))
+            return Affine(0, self.integer("integer"))
         if kind == "NAME":
             if val != "k":
                 self.fail(f"unknown variable {val!r}")
@@ -240,30 +217,21 @@ class _Parser:
     def atom(self) -> Atom:
         self.expect("LPAR", "'('")
         lo = self.expr()
-        hi = None
-        if self.peek()[0] == "DOTS":
-            self.next()
-            hi = self.expr()
+        hi = self.expr() if self.take("DOTS") else None
         self.expect("RPAR", "')'")
-        marked = False
-        if self.peek()[0] == "TILDE":
-            self.next()
-            marked = True
-        mult = Affine(0, 1)
-        if self.peek()[0] == "CARET":
-            self.next()
-            mult = self.expr()
+        marked = self.take("TILDE")
+        mult = self.expr() if self.take("CARET") else Affine(0, 1)
         return Atom(lo, hi, marked, mult)
 
     def production(self) -> Production:
         self.keyword("jump")
-        jump = int(self.expect("INT", "jump distance")[1])
+        at = self.peek()
+        jump = self.integer("jump distance")
         if jump < 1:
-            self.fail("jump must be >= 1")
+            self.fail("jump must be >= 1", at)
         self.expect("COLON", "':'")
         atoms = [self.atom()]
-        while self.peek()[0] == "COMMA":
-            self.next()
+        while self.take("COMMA"):
             atoms.append(self.atom())
         return Production(jump, tuple(atoms))
 
@@ -271,7 +239,7 @@ class _Parser:
         self.skip_seps()
         self.keyword("axiom")
         self.expect("COLON", "':'")
-        axiom = int(self.expect("INT", "axiom label")[1])
+        axiom = self.integer("axiom label")
         productions = []
         self.skip_seps()
         while self.peek()[0] != "EOF":

@@ -199,6 +199,21 @@ class TestRule:
         code, out, err = run_cli(["rule", "--file", str(rule), "--levels", "3"])
         assert (code, out, err) == (2, "", f"{rule}: {message}\n")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("axiom: \u00b2\n", "unexpected character '\u00b2' at line 1, column 8"),
+            ("axiom: 2\njump \u0661: (k)\n", "unexpected character '\u0661' at line 2, column 6"),
+            ("axiom: 2\njump 1: (" + "1" * 5000 + ")\n", "integer of 5000 digits is too long at line 2, column 10"),
+        ],
+        ids=["superscript-two", "arabic-indic-one", "5000-digits"],
+    )
+    def test_bad_integer_is_a_usage_error(self, tmp_path, text, message):
+        rule = tmp_path / "integer.rule"
+        rule.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(["rule", "--file", str(rule), "--levels", "3"])
+        assert (code, out, err) == (2, "", f"{rule}: {message}\n")
+
     def test_file_that_is_not_utf8_is_a_usage_error(self, tmp_path):
         rule = tmp_path / "latin1.rule"
         rule.write_bytes("axiom: 2 # \u00e9\n".encode("latin-1"))
@@ -321,6 +336,13 @@ class TestRender:
         code, out, err = run_cli(["render", "--word", "1100", "--spans", "0", flag, "3"])
         assert (code, out) == (2, "")
         assert "--j and --i must be given together" in err
+
+    @pytest.mark.parametrize("word,spans", [("1100", "0,0"), ("11100", "0,1")])
+    def test_overlapping_guessed_spans_are_a_usage_error(self, word, spans):
+        # without --j/--i the spans were drawn over each other, exit 0
+        code, out, err = run_cli(["render", "--word", word, "--spans", spans])
+        assert (code, out) == (2, "")
+        assert "overlapping spans" in err
 
     def test_malformed_span_list_is_a_usage_error(self):
         code, out, err = run_cli(["render", "--word", "110", "--spans", "0,,1"])

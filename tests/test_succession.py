@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,23 @@ CATALAN = [1, 2, 5, 14, 42, 132]
 RULE_FILES = sorted((Path(__file__).resolve().parents[1] / "rules").glob("*.rule"))
 # the j - i = 1 label rule, whose net census is the (j, j-1) tree's
 LABEL_RULE = "axiom: 0\njump 1: (0..k+1), (0)\njump {j}: (0..k+1)~, (0)~\n"
+
+
+# the grammar's characters, plus two digits outside ASCII that int() reads
+_DIGITS = "0123456789\u00b2\u0661"
+_RULE_CHARS = "axiomjuk:;\n,()~^+-*. \t\r" + _DIGITS
+
+
+@st.composite
+def _edited_rule_text(draw) -> str:
+    """A well-formed rule with each integer redrawn over _DIGITS, then a
+    few characters inserted, replaced or cut."""
+    seed = draw(st.sampled_from([CATALAN_MARKED, CATALAN_PLAIN, LABEL_RULE.format(j=3), "axiom: 0\njump 1: (k+1)^k+2\n"]))
+    text = re.sub("[0-9]+", lambda _: draw(st.text(_DIGITS, min_size=1, max_size=3)), seed)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.text(_RULE_CHARS, max_size=2)) + text[at + draw(st.integers(0, 2)) :]
+    return text
 
 
 class TestAffine:
@@ -85,11 +103,34 @@ class TestParser:
         assert fragment in str(err.value)
         assert err.value.line >= 1 and err.value.col >= 1
 
-    def test_error_position_points_at_offending_token(self):
+    @pytest.mark.parametrize(
+        "text,fragment,line,col",
+        [
+            ("axiom: 2\njump 1: (z)\n", "unknown variable 'z'", 2, 10),
+            ("axiom: 2\njump 0: (k)", "jump must be >= 1", 2, 6),
+            ("axiom: 2\njump 1: (k*k)", "not affine", 2, 12),
+            # digits outside ASCII, which int() would read
+            ("axiom: \u00b2", "unexpected character '\u00b2'", 1, 8),
+            ("axiom: 2\njump \u0661: (k)", "unexpected character '\u0661'", 2, 6),
+            # past int()'s default limit of 4,300 digits
+            ("axiom: 2\njump 1: (" + "1" * 5000 + ")", "integer of 5000 digits is too long", 2, 10),
+        ],
+        ids=["unknown-variable", "jump-0", "k-times-k", "superscript-two", "arabic-indic-one", "5000-digits"],
+    )
+    def test_error_position_points_at_offending_token(self, text, fragment, line, col):
         with pytest.raises(RuleParseError) as err:
-            parse_rule("axiom: 2\njump 1: (z)\n")
-        assert err.value.line == 2
-        assert err.value.col == 10
+            parse_rule(text)
+        assert fragment in str(err.value)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.text(_RULE_CHARS, max_size=40), _edited_rule_text()))
+    def test_every_text_parses_or_raises_rule_parse_error(self, text):
+        try:
+            rule = parse_rule(text)
+        except RuleParseError:
+            return
+        assert isinstance(rule, RuleSpec)
 
 
 class TestAtomSemantics:
