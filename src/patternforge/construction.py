@@ -16,12 +16,16 @@ additionally emit repair children that plain appends can never produce:
   its further-falling copies.  The slack a in [0, j-i-1] depends on the
   highest unmarked peak h and highest marked peak h* of the suffix.
 
-Cut-and-paste on word = v + phi (phi the rightmost axis suffix): take the
-rightmost marked peak r in phi, let t be the first point right of r's span
-not strictly inside any span, draw a horizontal line through t, and let z
-be the highest (then leftmost) point of phi on or above that line that is
-not strictly inside a span, z = t when nothing else qualifies.  The result
-v + fall + phi[z:] + phi[:z] ends one ordinate lower.
+Cut-and-paste on word = v + phi, where phi is the suffix from t0, the
+rightmost eligible axis point (a grown child's t0 is its parent's), reads
+phi alone: no span straddles t0, and phi's own profile starts at ordinate
+0, so it gives every ordinate unchanged.  Take the rightmost marked peak r
+in phi, let t be the first point right of r's span (never strictly inside
+a span, which is checked), draw a horizontal line through t, and let z be
+the highest (then leftmost) point of phi on or above that line that is not
+strictly inside a span, z = t when nothing else qualifies.  The result
+v + fall + phi[z:] + phi[:z] ends one ordinate lower.  The slack a reads h
+and h* from the same phi.
 
 Gamma nodes (suffix starts with a fall and holds a span with i < b < j)
 expand by plain appends only, one child per label.
@@ -223,42 +227,31 @@ def _appends(node: TreeNode, pattern: Pattern, pc: PathClass, jump: int, tag: st
     ]
 
 
-# --- slack parameter a and cut points ---------------------------------------
+# --- slack parameter a and cut-and-paste ------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class _Ladder:
-    a: int
-    pin: int | None  # the ordinate z must sit at; None when z must equal t
-
-
-def _suffix_peaks(mw: MarkedWord, pattern: Pattern, start: int) -> tuple[int, int | None]:
-    """(h, h*) over the suffix from `start`: highest unmarked / marked peak
-    ordinates; h = 0 with no unmarked peak, h* = None with no span."""
-    word = mw.word
-    prof = profile(word)
-    marked = {s + pattern.j for s in mw.spans if s >= start}
-    h = 0
-    for q in range(start + 1, len(word)):
-        if word[q - 1] == "1" and word[q] == "0" and q not in marked:
-            h = max(h, prof[q])
-    hstar = max((prof[q] for q in marked), default=None)
-    return h, hstar
-
-
-def _ladder(mw: MarkedWord, pattern: Pattern, pc: PathClass) -> _Ladder:
+def _ladder(mw: MarkedWord, pattern: Pattern, pc: PathClass) -> tuple[int, int | None]:
+    """(a, pin): the slack a of a delta word, and the ordinate its jump-j
+    cuts must put z at, None when z must equal t.  They follow from the
+    highest unmarked peak h (0 with none) and the highest marked peak h*
+    (None with no span) of the suffix from pc.suffix_start."""
     if pc.kind is PathKind.GAMMA:
         raise NotDeltaError(mw.to_text())
     if pc.kind is PathKind.DELTA_ON_AXIS:
-        return _Ladder(0, None)
-    k = height(mw.word)
-    h, hstar = _suffix_peaks(mw, pattern, pc.suffix_start)
+        return 0, None
+    t0 = pc.suffix_start
+    phi = mw.word[t0:]
+    prof = profile(phi)
+    marked = {s - t0 + pattern.j for s in mw.spans if s >= t0}
+    h = max((prof[q] for q in range(1, len(phi)) if phi[q - 1 : q + 1] == "10" and q not in marked), default=0)
+    hstar = max((prof[q] for q in marked), default=None)
     route_marked = hstar is not None and hstar - h > pattern.i
     top = hstar - pattern.i if route_marked else h
+    k = prof[-1]
     ji = pattern.j - pattern.i
     if top - k < ji:
-        return _Ladder(max(top - k, 0), None)
-    return _Ladder(ji - 1, top)
+        return max(top - k, 0), None
+    return ji - 1, top
 
 
 def compute_a(mw: MarkedWord, pattern: Pattern) -> int:
@@ -266,17 +259,11 @@ def compute_a(mw: MarkedWord, pattern: Pattern) -> int:
 
     0 on the axis; otherwise clamp d to [0, j-i-1] where d = h - k when the
     marked peaks do not dominate (h* - h <= i, or no span) and d = h* - k - i
-    when they do.  When h* - h = i both readings coincide.
+    when they do.  When h* - h = i both readings coincide.  Raises
+    ValueError on malformed spans.
     """
-    return _ladder(mw, pattern, classify(mw, pattern)).a
-
-
-@dataclass(frozen=True, slots=True)
-class _CutPoints:
-    suffix_start: int
-    t: int
-    z: int
-    z_ordinate: int
+    mw.validate(pattern)
+    return _ladder(mw, pattern, classify(mw, pattern))[0]
 
 
 # Arbitration knobs for the cut geometry; the differential suite (verify
@@ -285,65 +272,44 @@ _LINE_SLOPE = 0
 _HIGHEST_FIRST = True
 
 
-def _cut_points(mw: MarkedWord, pattern: Pattern, t0: int | None = None) -> _CutPoints:
-    """Cut points of mw; t0, when the caller knows it, is the start of its
-    rightmost axis suffix and saves the rescan."""
-    if t0 is None:
-        t0 = rightmost_suffix(mw, pattern)[2]
-    suffix_spans = [s for s in mw.spans if s >= t0]
-    if not suffix_spans:
+def _cut(mw: MarkedWord, pattern: Pattern, t0: int) -> tuple[MarkedWord, int, int, int]:
+    """Cut-and-paste the suffix of mw from the axis point t0: the cut word,
+    then t, z (both positions in mw) and z's ordinate."""
+    word = mw.word
+    phi = word[t0:]
+    spans = [s - t0 for s in mw.spans if s >= t0]
+    if not spans:
         raise NoMarkedPoint(mw.to_text())
     length = pattern.length
-    # every point from t0 on that lies strictly inside a span
-    inside = {q for s in mw.spans if s + length > t0 for q in range(s + 1, s + length)}
-    prof = profile(mw.word)
-    t = suffix_spans[-1] + length  # first point right of the rightmost marked peak's span
+    inside = {q for s in spans for q in range(s + 1, s + length)}
+    prof = profile(phi)
+    t = spans[-1] + length  # first point right of the rightmost marked peak's span
     if t in inside:
-        raise SpanSplitError(f"t at {t} inside a span of {mw.to_text()}")
-    best = None
-    best_y = None
-    for q in range(t0, len(mw.word) + 1):
-        if q in inside:
-            continue
-        if prof[q] < prof[t] + _LINE_SLOPE * (q - t):
-            continue
-        if best is None or (_HIGHEST_FIRST and prof[q] > best_y):
-            best, best_y = q, prof[q]
-    if best is None:  # t itself always qualifies
-        raise InvariantViolation(f"no cut point z in {mw.to_text()}")
-    if best in inside:
-        raise SpanSplitError(f"z at {best} inside a span of {mw.to_text()}")
-    return _CutPoints(t0, t, best, best_y)
-
-
-def _apply_cut(mw: MarkedWord, pattern: Pattern, pts: _CutPoints) -> MarkedWord:
-    t0, z = pts.suffix_start, pts.z
-    bits = mw.word
-    alpha = bits[z:]
-    beta = bits[t0:z]
-    spans = []
-    for s in mw.spans:
-        if s < t0:
-            spans.append(s)
-        elif s >= z:
-            spans.append(s - z + t0 + 1)
-        else:
-            spans.append(s + 1 + len(alpha))
-    out = MarkedWord(bits[:t0] + "0" + alpha + beta, tuple(spans))
-    if height(out.word) != height(bits) - 1:
+        raise SpanSplitError(f"t at {t0 + t} inside a span of {mw.to_text()}")
+    # points on or above the line through t, none inside a span; t is one
+    line = [q for q, y in enumerate(prof) if q not in inside and y >= prof[t] + _LINE_SLOPE * (q - t)]
+    z = max(line, key=prof.__getitem__) if _HIGHEST_FIRST else line[0]  # max keeps the leftmost
+    alpha = phi[z:]
+    kept = tuple(s for s in mw.spans if s < t0)
+    moved = tuple(t0 + 1 + (s - z if s >= z else s + len(alpha)) for s in spans)
+    out = MarkedWord(word[:t0] + "0" + alpha + phi[:z], kept + moved)
+    if height(out.word) != height(word) - 1:
         raise InvariantViolation(f"cut of {mw.to_text()} gave {out.to_text()}, not one ordinate lower")
-    return out
+    return out, t0 + t, t0 + z, prof[z]
 
 
 def cut_and_paste(mw: MarkedWord, pattern: Pattern) -> MarkedWord:
     """Rebuild a marked word, ending one ordinate lower, by moving the part
     of its axis suffix before z behind the part after z, behind a new fall.
 
-    Requires endpoint ordinate >= 1 and a marked span inside the suffix.
+    Requires well-formed spans, endpoint ordinate >= 1 and a marked span
+    inside the suffix; raises ValueError on malformed spans or a low
+    endpoint.
     """
+    mw.validate(pattern)
     if height(mw.word) < 1:
         raise ValueError(f"cut_and_paste needs endpoint ordinate >= 1, got {mw.to_text()}")
-    return _apply_cut(mw, pattern, _cut_points(mw, pattern))
+    return _cut(mw, pattern, rightmost_suffix(mw, pattern)[2])[0]
 
 
 # --- productions -------------------------------------------------------------
@@ -358,7 +324,7 @@ def _jump1(node: TreeNode, pattern: Pattern, pc: PathClass) -> list[_Kid]:
     grown = MarkedWord(word + "1" + "0" * k, spans)
     t0 = _append_start(node, pc)  # rightmost eligible axis point of grown
     if any(s >= t0 for s in spans):
-        repaired = _apply_cut(grown, pattern, _cut_points(grown, pattern, t0))
+        repaired = _cut(grown, pattern, t0)[0]
         out.append(_kid(node, repaired.word, repaired.spans, 0, 1, "up:axis"))
     else:
         # the suffix is span-free and above the axis; flipped, it returns
@@ -369,8 +335,7 @@ def _jump1(node: TreeNode, pattern: Pattern, pc: PathClass) -> list[_Kid]:
 
 
 def _jumpj(node: TreeNode, pattern: Pattern, pc: PathClass) -> list[_Kid]:
-    ladder = _ladder(node.mw, pattern, pc)
-    a = ladder.a
+    a, pin = _ladder(node.mw, pattern, pc)
     k = node.label
     ji = pattern.j - pattern.i
     word = node.mw.word
@@ -378,15 +343,14 @@ def _jumpj(node: TreeNode, pattern: Pattern, pc: PathClass) -> list[_Kid]:
     out = _appends(node, pattern, pc, pattern.j, "mark")
     for y in range(k + a, k + ji):
         grown = MarkedWord(word + pattern.factor + "0" * y, new_spans)
-        pts = _cut_points(grown, pattern, _append_start(node, pc))
-        if pts.t != len(word) + pattern.length:
-            raise InvariantViolation(f"t at {pts.t}, not behind the new span, in {grown.to_text()}")
-        if ladder.pin is None:
-            if pts.z != pts.t:
+        repaired, t, z, z_ordinate = _cut(grown, pattern, _append_start(node, pc))
+        if t != len(word) + pattern.length:
+            raise InvariantViolation(f"t at {t}, not behind the new span, in {grown.to_text()}")
+        if pin is None:
+            if z != t:
                 raise InvariantViolation(f"expected z=t for {grown.to_text()}")
-        elif pts.z_ordinate != ladder.pin:
+        elif z_ordinate != pin:
             raise InvariantViolation(f"z off the pinned ordinate for {grown.to_text()}")
-        repaired = _apply_cut(grown, pattern, pts)
         m0 = k + ji - y - 1
         out.append(_kid(node, repaired.word, repaired.spans, m0, pattern.j, f"mark:cut{y}"))
         for g in range(1, m0 + 1):

@@ -241,10 +241,11 @@ class _Parser:
         self.expect("COLON", "':'")
         axiom = self.integer("axiom label")
         productions = []
-        self.skip_seps()
         while self.peek()[0] != "EOF":
-            productions.append(self.production())
+            self.expect("SEP", "';' or newline")
             self.skip_seps()
+            if self.peek()[0] != "EOF":
+                productions.append(self.production())
         if not productions:
             self.fail("rule needs at least one production")
         return RuleSpec(axiom, tuple(productions))

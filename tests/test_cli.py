@@ -102,13 +102,13 @@ class TestVerify:
         assert "internal soundness violation" in err
 
     def test_broken_invariant_is_a_soundness_error(self, monkeypatch):
-        apply_cut = construction._apply_cut
+        real_cut = construction._cut
 
-        def cut_one_fall_too_low(mw, pattern, pts):
-            out = apply_cut(mw, pattern, pts)
-            return construction.MarkedWord(out.word + "0", out.spans)
+        def cut_one_fall_too_low(mw, pattern, t0):
+            out, *points = real_cut(mw, pattern, t0)
+            return (construction.MarkedWord(out.word + "0", out.spans), *points)
 
-        monkeypatch.setattr(construction, "_apply_cut", cut_one_fall_too_low)
+        monkeypatch.setattr(construction, "_cut", cut_one_fall_too_low)
         code, out, err = run_cli(["verify", "--j", "2", "--i", "1", "--max-ones", "4"])
         assert (code, out) == (3, "")
         assert "internal soundness violation: label 0 != ordinate of" in err
@@ -119,11 +119,11 @@ class TestVerify:
             "import sys\n"
             "from patternforge import construction\n"
             "from patternforge.cli import main\n"
-            "apply_cut = construction._apply_cut\n"
-            "def cut(mw, pattern, pts):\n"
-            "    out = apply_cut(mw, pattern, pts)\n"
-            "    return construction.MarkedWord(out.word + '0', out.spans)\n"
-            "construction._apply_cut = cut\n"
+            "real_cut = construction._cut\n"
+            "def cut(mw, pattern, t0):\n"
+            "    out, *points = real_cut(mw, pattern, t0)\n"
+            "    return (construction.MarkedWord(out.word + '0', out.spans), *points)\n"
+            "construction._cut = cut\n"
             "sys.exit(main(['verify', '--j', '2', '--i', '1', '--max-ones', '4']))\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"

@@ -7,6 +7,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import DIFFERENTIAL_PATTERNS, cached_run, expected_word_census
 from patternforge.construction import (
@@ -35,6 +36,19 @@ P31 = Pattern(3, 1)
 P32 = Pattern(3, 2)
 P41 = Pattern(4, 1)
 P52 = Pattern(5, 2)
+
+
+@st.composite
+def marked_words(draw, pattern: Pattern) -> MarkedWord:
+    """A validly marked word over rises, falls and marked factors."""
+    word, spans = "", []
+    for step in draw(st.lists(st.sampled_from(["1", "0", "M"]), max_size=12)):
+        if step == "M":
+            spans.append(len(word))
+            word += pattern.factor
+        else:
+            word += step
+    return MarkedWord(word, tuple(spans))
 
 
 def node_for(word: str, spans: tuple[int, ...] = ()) -> TreeNode:
@@ -77,6 +91,41 @@ class TestCutAndPaste:
     def test_requires_positive_endpoint(self):
         with pytest.raises(ValueError):
             cut_and_paste(MarkedWord("1100", (0,)), P21)
+
+    @pytest.mark.parametrize(
+        "mw",
+        [MarkedWord("110", (1,)), MarkedWord("1101", (0, 1)), MarkedWord("1110", (0,))],
+        ids=["out-of-bounds", "overlapping", "not-the-factor"],
+    )
+    @pytest.mark.parametrize("operation", [cut_and_paste, compute_a])
+    def test_malformed_spans_are_refused(self, operation, mw):
+        with pytest.raises(ValueError):
+            operation(mw, P21)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_reads_only_the_rightmost_axis_suffix(self, data):
+        """Cut-and-paste and the slack a of v + w, for a marked word w and a
+        marked prefix v ending on the axis, are those of w with v in front."""
+        pattern = data.draw(st.sampled_from([P21, P31, P32, P41, P52]))
+        w = data.draw(marked_words(pattern))
+        v = data.draw(marked_words(pattern))
+        k = height(v.word)
+        v = MarkedWord(v.word + ("0" * k if k > 0 else "1" * -k), v.spans)
+        shift = len(v.word)
+        vw = MarkedWord(v.word + w.word, v.spans + tuple(s + shift for s in w.spans))
+
+        def outcome(operation, mw):
+            try:
+                return operation(mw, pattern)
+            except Exception as exc:
+                return type(exc)
+
+        cut = outcome(cut_and_paste, w)
+        if isinstance(cut, MarkedWord):
+            cut = MarkedWord(v.word + cut.word, v.spans + tuple(s + shift for s in cut.spans))
+        assert outcome(cut_and_paste, vw) == cut
+        assert outcome(compute_a, vw) == outcome(compute_a, w)
 
 
 class TestDeltaJump1:

@@ -114,8 +114,18 @@ class TestParser:
             ("axiom: 2\njump \u0661: (k)", "unexpected character '\u0661'", 2, 6),
             # past int()'s default limit of 4,300 digits
             ("axiom: 2\njump 1: (" + "1" * 5000 + ")", "integer of 5000 digits is too long", 2, 10),
+            # each production needs a ';' or a newline in front of it
+            ("axiom: 2 jump 1: (k) jump 1: (k)~", "expected ';' or newline", 1, 10),
         ],
-        ids=["unknown-variable", "jump-0", "k-times-k", "superscript-two", "arabic-indic-one", "5000-digits"],
+        ids=[
+            "unknown-variable",
+            "jump-0",
+            "k-times-k",
+            "superscript-two",
+            "arabic-indic-one",
+            "5000-digits",
+            "missing-separator",
+        ],
     )
     def test_error_position_points_at_offending_token(self, text, fragment, line, col):
         with pytest.raises(RuleParseError) as err:
