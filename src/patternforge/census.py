@@ -164,23 +164,22 @@ def _block_add(cells: list[int], start: int, src: list[int], times: int) -> None
 
 def build_census(
     ones: int,
-    plus: dict[str, int],
-    minus: dict[str, int],
+    copies: dict[str, list[int]],
     grown: Iterable[tuple[dict[str, list[int]], WordCensus]] = (),
 ) -> WordCensus:
-    """The census of a level with `ones` ones: the copies `plus` and `minus`
-    (word -> copies), and for each (returns, below) in `grown`, every word
-    q of `returns` (q -> [plus, minus] copies) put in front of every word w
+    """The census of a level with `ones` ones: the walked `copies` (word ->
+    [plus, minus] copies), and for each (returns, below) in `grown`, every
+    word q of `returns`, in the same shape, put in front of every word w
     of `below`, the census of level ones - |q|_1.  A q with (qp, qm)
     copies in front of a w with (wp, wm) gives q + w qp*wp + qm*wm plus
     and qp*wm + qm*wp minus copies."""
     cells_plus = [[0] * comb(ones + z, z) for z in range(ones + 1)]
     cells_minus = [[0] * comb(ones + z, z) for z in range(ones + 1)]
-    for word in plus.keys() | minus.keys():  # most words carry copies of both signs: rank each once
+    for word, (p, m) in copies.items():
         zeros = len(word) - ones
         rank = rank_prefix(word, ones, zeros)
-        cells_plus[zeros][rank] += plus.get(word, 0)
-        cells_minus[zeros][rank] += minus.get(word, 0)
+        cells_plus[zeros][rank] += p
+        cells_minus[zeros][rank] += m
     for returns, below in grown:
         for q, (qp, qm) in returns.items():
             shift = len(q) - (ones - below.ones)  # the zeros of q

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .construction import copies_of, run_levels
@@ -134,18 +135,11 @@ def cmd_trace(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def _span_extent(word: str, start: int) -> int:
-    ones = 0
-    pos = start
-    while pos < len(word) and word[pos] == "1":
-        ones += 1
-        pos += 1
-    zeros = 0
-    while pos < len(word) and word[pos] == "0":
-        zeros += 1
-        pos += 1
-    if start < 0 or ones == 0 or zeros == 0:
+    """The length of the rises-then-falls factor that starts at `start`."""
+    shape = re.match("1+0+", word[start:]) if start >= 0 else None
+    if shape is None:
         raise ValueError(f"no factor shape at span start {start}")
-    return ones + zeros
+    return shape.end()
 
 
 def cmd_render(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

@@ -38,13 +38,14 @@ A node's children depend on that node alone, and the only state the
 whole tree shares is the per-level census, a sum that ignores order.  So
 run_levels walks the tree depth-first with an explicit stack and counts
 each copy into its level's censuses where its parent's production makes
-it.  The walk tallies the words it meets in small dicts; each level's
-census is then a dense one (see census): one list of copies per sign and
-zero count, indexed by the word's lexicographic rank, so a level with n
-ones costs C(2n+1, n) cells per sign, whatever its copies number.  A node
-is built only for a copy the walk expands or the caller keeps.  A copy
-that fails to classify or expand is held back until every lower level has
-been checked, so failures surface in the order of a level-by-level run.
+it.  The walk tallies the words it meets in one small dict per level,
+word -> [plus, minus] copies; each level's census is then a dense one
+(see census): one list of copies per sign and zero count, indexed by the
+word's lexicographic rank, so a level with n ones costs C(2n+1, n) cells
+per sign, whatever its copies number.  A node is built only for a copy
+the walk expands or the caller keeps.  A copy that fails to classify or
+expand is held back until every lower level has been checked, so
+failures surface in the order of a level-by-level run.
 
 Axis returns.  A node q that ends on the axis above the root (label 0,
 level m >= 1) grows the whole tree again behind its word: every child of
@@ -53,8 +54,9 @@ eligible axis point, and every suffix start, cut and rescan below q looks
 only at points from there on.  So q's subtree at level n is the root's
 tree at level n - m with q.word in front, spans shifted by len(q.word) and
 signs multiplied by q's.  run_levels therefore walks only the nodes no
-axis return lies above, records each return's word by sign, and builds
-level n as its walked part plus, for each m in 1..n-1, the returns of
+axis return lies above.  The returns of level m are its walked copies
+that end on the axis, the words of length 2m among its tallied words,
+and level n is its walked part plus, for each m in 1..n-1, the returns of
 level m concatenated with the full census of level n - m: one block add
 per return and zero count into the dense census.  Runs that need
 the nodes themselves (keep_nodes, the copies of one word) build them the
@@ -70,7 +72,10 @@ class (and suffix start) from its parent, since the appended steps never
 touch the axis before the endpoint; only children built by a cut are
 rescanned, and only those above the axis: a word that ends on the axis is
 DELTA_ON_AXIS whatever its spans, and such a copy above the root is never
-expanded.  run_levels never builds a child past max_ones, and every
+expanded.  The class tallies of a level are read from its census: its
+label-0 copies are DELTA_ON_AXIS, the walk counts the gamma copies (and
+each return repeats those of the level it grows), and every other copy
+is DELTA_ABOVE.  run_levels never builds a child past max_ones, and every
 jump-j family that is built passes its label multiset check.
 """
 
@@ -389,10 +394,6 @@ def gamma_expand(node: TreeNode, pattern: Pattern) -> tuple[list[TreeNode], list
     )
 
 
-def _tree_order(node: TreeNode) -> tuple[str, tuple[int, ...]]:
-    return node.mw.word, node.mw.spans
-
-
 def _expand(node: TreeNode, pattern: Pattern, max_level: int | None = None) -> dict[int, list[_Kid]]:
     """The children of a node that carries its class, as checked kids
     grouped by target level, in production order: the walk's seam, under
@@ -410,7 +411,7 @@ def _expand(node: TreeNode, pattern: Pattern, max_level: int | None = None) -> d
 
 def expand_node(node: TreeNode, pattern: Pattern, max_level: int | None = None) -> dict[int, list[TreeNode]]:
     """The children of one node, grouped by target level, each group sorted
-    by (word, span starts).
+    by sort_key: by (word, span starts), since a group has one parity.
 
     A group whose level lies past max_level (None: no bound) is never
     built, so a jump-j family out of range skips its cuts and its label
@@ -420,7 +421,7 @@ def expand_node(node: TreeNode, pattern: Pattern, max_level: int | None = None) 
     if node.path_class is None:
         node = replace(node, path_class=classify(node.mw, pattern))
     return {
-        level: sorted(_nodes(node, level, kids), key=_tree_order)
+        level: sorted(_nodes(node, level, kids), key=lambda nd: nd.sort_key)
         for level, kids in _expand(node, pattern, max_level).items()
     }
 
@@ -459,15 +460,13 @@ class RunResult:
 
 @dataclass(slots=True)
 class _LevelTally:
-    """What the walk keeps of one level: copies per word by sign, copies per
-    class, the nodes the caller asked for, and the axis returns it did not
-    expand, as word -> [plus copies, minus copies]."""
+    """What the walk keeps of one level that its census cannot give: the
+    copies it counted, as word -> [plus copies, minus copies], the number
+    of them that are gamma, and the nodes the caller asked for."""
 
-    plus: dict[str, int] = field(default_factory=dict)
-    minus: dict[str, int] = field(default_factory=dict)
-    classes: Counter[PathKind] = field(default_factory=Counter)
+    copies: dict[str, list[int]] = field(default_factory=dict)
+    gamma: int = 0
     kept: list[TreeNode] = field(default_factory=list)
-    returns: dict[str, list[int]] = field(default_factory=dict)
 
 
 def _node_order(node: TreeNode) -> tuple[tuple[str, tuple[int, ...], int], tuple[str, ...]]:
@@ -476,25 +475,19 @@ def _node_order(node: TreeNode) -> tuple[tuple[str, tuple[int, ...], int], tuple
     return node.sort_key, node.provenance
 
 
-# Every word that ends on the axis is DELTA_ON_AXIS, whatever its spans,
-# and classify cannot fail on it.  Its suffix start matters only when it is
-# expanded, and the only such node the walk expands is the root, whose
-# suffix starts at 0.
-_ON_AXIS = PathClass(PathKind.DELTA_ON_AXIS, 0)
-
-
 def _walk(
     pattern: Pattern, max_ones: int, keep: Callable[[str], bool] | None = None
 ) -> tuple[list[_LevelTally], tuple[tuple, Exception] | None]:
     """Walk the tree depth-first from the root down to max_ones rise steps.
 
     Each copy is counted once, by tally, where its parent's _expand made
-    it: tallied at its level, kept as a node when keep(word) holds, and
-    classified when it carries no class (a copy that ends on the axis is
-    DELTA_ON_AXIS).  Only copies below max_ones that end above the axis
-    become nodes on the stack, to be expanded.  An axis return (a label-0
-    copy above the root) is not expanded; its word goes into its level's
-    returns instead, for _run to grow from the censuses.  A copy whose
+    it: into its level's copies by word and sign, and kept as a node when
+    keep(word) holds.  A copy that ends on the axis is DELTA_ON_AXIS and,
+    above the root, an axis return: it is not expanded, and _run reads the
+    returns and the on-axis tally from the level's copies and census.  A
+    copy above the axis is classified when it carries no class, counted
+    in the level's gamma tally when it is gamma, and becomes a node on the
+    stack, to be expanded, when it lies below max_ones.  A copy whose
     classification or expansion raises grows no subtree, and the walk
     goes on, since a level-by-level run may meet another failure first:
     on a lower level, or on a smaller copy of the same level.  The second
@@ -520,37 +513,30 @@ def _walk(
         """Count the kids at `level` of the node with `lineage`, and return
         the nodes among them that the walk must expand."""
         here = tallies[level]
-        plus, minus = here.plus, here.minus
-        kinds = []
+        copies = here.copies
         nodes = []
         for word, spans, label, parity, tag, pc in kids:
-            copies = plus if parity > 0 else minus
-            copies[word] = copies.get(word, 0) + 1
+            copies.setdefault(word, [0, 0])[parity < 0] += 1
             if keep is not None and keep(word):
                 here.kept.append(TreeNode(MarkedWord(word, spans), label, parity, level, lineage + (tag,), pc))
+            if not label:  # DELTA_ON_AXIS: an axis return, never expanded
+                continue
             if pc is None:  # built by a cut
                 try:
-                    pc = classify(MarkedWord(word, spans), pattern) if label else _ON_AXIS
+                    pc = classify(MarkedWord(word, spans), pattern)
                 except Exception as exc:
                     fail((level, 0, (word, spans, parity)), exc)
                     continue
-            kinds.append(pc.kind)
-            if level == max_ones:
-                continue
-            if label:
+            if pc.kind is PathKind.GAMMA:
+                here.gamma += 1
+            if level < max_ones:
                 nodes.append(TreeNode(MarkedWord(word, spans), label, parity, level, lineage + (tag,), pc))
-            else:
-                here.returns.setdefault(word, [0, 0])[parity < 0] += 1
-        for kind in PathKind:  # counted by identity: an Enum member hashes in Python
-            if kind in kinds:
-                here.classes[kind] += kinds.count(kind)
         return nodes
 
-    tallies[0].plus[""] = 1  # no production makes the root: count it here
-    tallies[0].classes[_ON_AXIS.kind] = 1
+    tallies[0].copies[""] = [1, 0]  # no production makes the root: count it here
     if keep is not None and keep(""):
         tallies[0].kept.append(TreeNode(MarkedWord(""), 0, 1, 0))
-    stack = [TreeNode(MarkedWord(""), 0, 1, 0, (), _ON_AXIS)] if max_ones else []
+    stack = [TreeNode(MarkedWord(""), 0, 1, 0, (), PathClass(PathKind.DELTA_ON_AXIS, 0))] if max_ones else []
     while stack:
         node = stack.pop()
         try:
@@ -601,14 +587,15 @@ def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> 
     keep_nodes).  Per level the report carries the label census, the word
     census as a read-only Mapping in ascending word order
     (census.WordCensus), the surviving words (net 1), the class tallies
-    of every copy and, with keep_nodes, the nodes sorted by (word, spans,
-    parity, lineage).
+    of every copy, read from the census and the walk's gamma count, and,
+    with keep_nodes, the nodes sorted by (word, spans, parity, lineage).
 
     The walk does not expand an axis return: a node q with label 0 at level
     m >= 1 roots a copy of the whole tree behind q.word (see the module
     docstring).  Levels are then built in order: level n is its walked
-    part plus, for every m in 1..n-1, the returns of level m each put in
-    front of every copy of level n - m, words, signs and classes alike.
+    part plus, for every m in 1..n-1, the returns of level m (its walked
+    copies of length 2m) each put in front of every copy of level n - m,
+    words, signs and gamma copies alike.
     With keep_nodes the nodes below the returns are built the same way,
     each walked return put in front of every node of level n - m, so the
     walk and the checks are those of a run without keep_nodes.
@@ -641,30 +628,31 @@ def _run(pattern: Pattern, max_ones: int, keep: Callable[[str], bool] | None) ->
     accepts in node order whenever keep is given."""
     tallies, failure = _walk(pattern, max_ones, keep)
     reports: list[LevelReport] = []
+    returns: list[dict[str, list[int]]] = []  # per level, its walked copies that end on the axis
     for n, tally in enumerate(tallies):
-        grown = []
-        for m in range(1, n):
-            returns = tallies[m].returns
-            if returns:
-                grown.append((returns, reports[n - m].word_census))
-                copies = sum(qp + qm for qp, qm in returns.values())  # each repeats the classes of level n - m
-                tally.classes.update({kind: copies * count for kind, count in tallies[n - m].classes.items()})
-        census = build_census(n, tally.plus, tally.minus, grown)
-        tally.plus.clear()  # the census holds the copies from here on
-        tally.minus.clear()
+        grown = [(returns[m], reports[n - m].word_census) for m in range(1, n) if returns[m]]
+        # each copy of a return of level m repeats the gamma copies of level n - m
+        tally.gamma += sum(tallies[n - m].gamma * sum(map(sum, returns[m].values())) for m in range(1, n))
+        census = build_census(n, tally.copies, grown)
+        returns.append({w: cell for w, cell in tally.copies.items() if len(w) == 2 * n})
+        tally.copies.clear()  # the census holds the copies from here on
         off = census.off_net()
         if off is not None:
             word, net = off
             raise NetOutOfRange(word, n, net, _lineages(pattern, word))
         if failure is not None and failure[0][0] == n:
             raise failure[1]
+        labels = census.labels()
+        on_axis, gamma = sum(labels.get(0, ())), tally.gamma  # a copy is on the axis when its label is 0
+        above = sum(map(sum, labels.values())) - on_axis - gamma
+        classes = {PathKind.DELTA_ON_AXIS: on_axis, PathKind.DELTA_ABOVE: above, PathKind.GAMMA: gamma}
         reports.append(
             LevelReport(
                 n,
-                census.labels(),
+                labels,
                 census,
                 census.survivors(),
-                {kind.value: tally.classes[kind] for kind in PathKind if kind in tally.classes},
+                {kind.value: classes[kind] for kind in PathKind if classes[kind]},
                 tuple(sorted(tally.kept, key=_node_order)) if keep is not None else None,
             )
         )

@@ -98,6 +98,17 @@ def expected_word_census(pattern: Pattern, ones: int) -> dict[str, tuple[int, in
     return census
 
 
+def drop_last_mark_child(appends):
+    """construction._appends without the last plain jump-j append of each
+    delta node, so every jump-j family misses one label."""
+
+    def dropped(node, pattern, pc, jump, tag):
+        kids = appends(node, pattern, pc, jump, tag)
+        return kids[:-1] if tag == "mark" else kids
+
+    return dropped
+
+
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
     """Run the CLI in process; returns (exit code, stdout, stderr)."""
     from patternforge.cli import main

@@ -50,9 +50,7 @@ class TestRank:
 
 
 def census_of(ones: int, cells: dict[str, tuple[int, int]]) -> WordCensus:
-    return build_census(
-        ones, {w: p for w, (p, _) in cells.items() if p}, {w: m for w, (_, m) in cells.items() if m}
-    )
+    return build_census(ones, {w: list(cell) for w, cell in cells.items()})
 
 
 class TestWordCensusView:
@@ -113,6 +111,6 @@ class TestLevelChecks:
 
     def test_a_return_in_front_of_a_lower_level_is_one_block_per_zero_count(self):
         below = census_of(1, {"1": (1, 0), "10": (1, 1), "01": (0, 1)})
-        census = build_census(2, {}, {}, [({"10": [1, 2]}, below)])
+        census = build_census(2, {}, [({"10": [1, 2]}, below)])
         # "10" + w gets qp*wp + qm*wm plus and qp*wm + qm*wp minus copies
         assert dict(census.items()) == {"101": (1, 2), "1001": (2, 1), "1010": (3, 3)}

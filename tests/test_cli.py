@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import run_cli
+from conftest import drop_last_mark_child, run_cli
 from patternforge import construction
 from patternforge.construction import NoMarkedPoint, NotDeltaError, NotGammaError, collect_copies, run_levels
 from patternforge.words import Pattern, UnclassifiablePath
@@ -112,6 +112,12 @@ class TestVerify:
         code, out, err = run_cli(["verify", "--j", "2", "--i", "1", "--max-ones", "4"])
         assert (code, out) == (3, "")
         assert "internal soundness violation: label 0 != ordinate of" in err
+
+    def test_a_family_off_its_label_multiset_is_a_soundness_error(self, monkeypatch):
+        monkeypatch.setattr(construction, "_appends", drop_last_mark_child(construction._appends))
+        code, out, err = run_cli(["verify", "--j", "2", "--i", "1", "--max-ones", "4"])
+        assert (code, out) == (3, "")
+        assert "internal soundness violation: jump-2 of  (k=0, a=0): {0: 2} != {0: 2, 1: 1}" in err
 
     def test_broken_invariant_is_caught_under_optimize(self):
         """`python -O` strips asserts; the invariant checks must not be asserts."""
@@ -329,6 +335,13 @@ class TestRender:
         code, out, err = run_cli(["render", "--word", "011", "--spans", "-1"])
         assert (code, out) == (2, "")
         assert "no factor shape at span start -1" in err
+
+    @pytest.mark.parametrize("spans,start", [("-5", -5), ("0,-4", -4), ("-3", -3)])
+    def test_span_start_far_before_the_word_is_rejected(self, spans, start):
+        # a start below -len(word) indexed past the word and ended in an IndexError, exit 1
+        code, out, err = run_cli(["render", "--word", "110", "--spans", spans])
+        assert (code, out) == (2, "")
+        assert f"no factor shape at span start {start}" in err
 
     @pytest.mark.parametrize("flag", ["--j", "--i"])
     def test_one_of_j_and_i_without_the_other_is_a_usage_error(self, flag):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -9,8 +10,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DIFFERENTIAL_PATTERNS, cached_run, expected_word_census
+from conftest import DIFFERENTIAL_PATTERNS, cached_run, drop_last_mark_child, expected_word_census
 from patternforge.construction import (
+    MultiplicityMismatch,
     NetOutOfRange,
     NoMarkedPoint,
     NotDeltaError,
@@ -182,6 +184,11 @@ class TestDeltaJumpJ:
     def test_rejects_gamma_input(self):
         with pytest.raises(NotDeltaError):
             delta_jumpj(node_for("01110", (1,)), P31)
+
+    def test_a_family_off_its_label_multiset_is_refused(self, monkeypatch):
+        monkeypatch.setattr(construction, "_appends", drop_last_mark_child(construction._appends))
+        with pytest.raises(MultiplicityMismatch, match=re.escape("jump-2 of  (k=0, a=0): {0: 2} != {0: 2, 1: 1}")):
+            run_levels(P21, 4)
 
 
 class TestGammaExpand:
@@ -803,6 +810,14 @@ class TestCollectCopies:
             ((0, 3), 1),
             ((3,), -1),
         ]
+
+    def test_a_word_past_the_run_is_refused(self):
+        with pytest.raises(ValueError, match="word has 5 rises but the run stops at 4"):
+            collect_copies(cached_run(2, 1, 4, keep_nodes=True), "11111")
+
+    def test_a_run_without_its_nodes_is_refused(self):
+        with pytest.raises(ValueError, match="keep_nodes=True"):
+            collect_copies(cached_run(2, 1, 4), "110")
 
     def test_copy_counts_double_per_occurrence(self):
         result = cached_run(2, 1, 4)

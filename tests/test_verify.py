@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from patternforge.construction import run_levels
@@ -22,3 +24,24 @@ class TestGivenResult:
         # a run to 3 ones once passed as a check of 8 levels after checking 4
         with pytest.raises(ValueError, match="not of"):
             verify_pattern(P21, 8, result=run_levels(pattern, max_ones))
+
+
+class TestDivergences:
+    @staticmethod
+    def with_level_3_survivors(survivors):
+        """verify_pattern on a run of P21 to 4 ones whose level 3 reports
+        survivors(those of the real run) instead."""
+        result = run_levels(P21, 4)
+        levels = list(result.levels)
+        levels[3] = replace(levels[3], survivors=survivors(levels[3].survivors))
+        return verify_pattern(P21, 4, result=replace(result, levels=levels))
+
+    def test_a_missing_survivor_is_named(self):
+        report = self.with_level_3_survivors(lambda words: words[1:])
+        assert not report.ok
+        assert report.divergences() == ["level 3: missing survivor '111'"]
+
+    def test_survivors_out_of_order_are_reported(self):
+        report = self.with_level_3_survivors(lambda words: words[::-1])
+        assert not report.ok
+        assert report.divergences() == ["level 3: survivor ordering differs"]

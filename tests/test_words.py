@@ -112,8 +112,9 @@ class TestMarkedWord:
             MarkedWord("0110", (0,)).validate(P21)
 
     def test_validate_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            MarkedWord("110110", (0, 2)).validate(P21)
+        # both spans cover the factor, so only the overlap check can refuse them
+        with pytest.raises(ValueError, match="overlapping"):
+            MarkedWord("110110", (3, 3)).validate(P21)
 
     def test_strictly_inside(self):
         mw = MarkedWord("0110", (1,))
