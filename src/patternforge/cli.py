@@ -177,6 +177,19 @@ def cmd_render(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return 0
 
 
+def _attach_spans(argv: list[str]) -> list[str]:
+    """argv with `--spans -4,0` joined into `--spans=-4,0`: argparse takes a
+    value that starts with '-' and is not a plain number for an option, so
+    a span list led by a negative start never reached the span check."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--spans" and re.match(r"-\d", arg):
+            out[-1] = f"--spans={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="patternforge",
@@ -221,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--i", type=int)
     p.set_defaults(func=cmd_render)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_spans(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(parser, args)
     except BudgetExceeded as exc:

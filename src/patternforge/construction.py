@@ -42,10 +42,14 @@ it.  The walk tallies the words it meets in one small dict per level,
 word -> [plus, minus] copies; each level's census is then a dense one
 (see census): one list of copies per sign and zero count, indexed by the
 word's lexicographic rank, so a level with n ones costs C(2n+1, n) cells
-per sign, whatever its copies number.  A node is built only for a copy
-the walk expands or the caller keeps.  A copy that fails to classify or
-expand is held back until every lower level has been checked, so
-failures surface in the order of a level-by-level run.
+per sign, whatever its copies number.  The walk's stack holds plain
+tuples, and a copy's lineage is a pointer to its parent's plus its own
+tag; a TreeNode, with its lineage spelled out as a provenance tuple, is
+built only for a copy the caller keeps, so a census-only run builds none.
+The productions read and return the same plain fields and check every
+child they make against its label and sign.  A copy that fails to
+classify or expand is held back until every lower level has been
+checked, so failures surface in the order of a level-by-level run.
 
 Axis returns.  A node q that ends on the axis above the root (label 0,
 level m >= 1) grows the whole tree again behind its word: every child of
@@ -83,7 +87,9 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import accumulate, compress, repeat
+from operator import ge, gt, sub
 from typing import Callable
 
 from .census import build_census
@@ -96,7 +102,6 @@ from .words import (
     classify,
     complement,
     height,
-    profile,
     rightmost_suffix,
 )
 
@@ -171,22 +176,25 @@ class TreeNode:
 # (word, spans, label, parity, tag, path_class).
 _Kid = tuple[str, tuple[int, ...], int, int, str, PathClass | None]
 
+# One step of a profile: a rise or a fall.
+_STEP = {"1": 1, "0": -1}.__getitem__
 
-def _kid(
-    parent: TreeNode,
-    word: str,
-    spans: tuple[int, ...],
-    label: int,
-    jump: int,
-    tag: str,
-    path_class: PathClass | None = None,
-) -> _Kid:
-    parity = parent.parity if jump == 1 else -parent.parity
-    if height(word) != label:
-        raise InvariantViolation(f"label {label} != ordinate of {word!r}")
-    if parity != (1 if len(spans) % 2 == 0 else -1):
-        raise InvariantViolation(f"parity {parity} != sign of {len(spans)} spans in {word!r}")
-    return word, spans, label, parity, tag, path_class
+
+def _text(word: str, spans: tuple[int, ...]) -> str:
+    return MarkedWord(word, spans).to_text()
+
+
+def _mislabelled(label: int, word: str) -> InvariantViolation:
+    return InvariantViolation(f"label {label} != ordinate of {word!r}")
+
+
+def _missigned(parity: int, spans: tuple[int, ...], word: str) -> InvariantViolation:
+    return InvariantViolation(f"parity {parity} != sign of {len(spans)} spans in {word!r}")
+
+
+def _fields(node: TreeNode) -> tuple[str, tuple[int, ...], int, int]:
+    """(word, spans, label, parity): a node as its productions read it."""
+    return node.mw.word, node.mw.spans, node.label, node.parity
 
 
 def _nodes(parent: TreeNode, level: int, kids: list[_Kid]) -> list[TreeNode]:
@@ -202,13 +210,15 @@ def _node_class(node: TreeNode, pattern: Pattern) -> PathClass:
     return node.path_class or classify(node.mw, pattern)
 
 
-def _append_start(node: TreeNode, pc: PathClass) -> int:
-    """Rightmost eligible axis point of any plain append to `node`: its own
+def _append_start(word: str, label: int, pc: PathClass) -> int:
+    """Rightmost eligible axis point of any plain append to a copy: its own
     endpoint when it ends on the axis, its suffix start otherwise."""
-    return len(node.mw.word) if node.label == 0 else pc.suffix_start
+    return len(word) if label == 0 else pc.suffix_start
 
 
-def _appends(node: TreeNode, pattern: Pattern, pc: PathClass, jump: int, tag: str) -> list[_Kid]:
+def _appends(
+    word: str, spans: tuple[int, ...], label: int, parity: int, pc: PathClass, pattern: Pattern, jump: int, tag: str
+) -> list[_Kid]:
     """Plain appends of one rise (jump 1) or the marked factor (jump j) and
     then falls, one child per label from 0 up, each carrying its class.
 
@@ -217,45 +227,52 @@ def _appends(node: TreeNode, pattern: Pattern, pc: PathClass, jump: int, tag: st
     endpoint, when that is on the axis); a child above the axis keeps the
     parent's class, or starts a fresh above-axis suffix at the parent's
     endpoint when the parent ends on the axis.  A new span peaks at k + j.
+    Every child is checked against its label and its sign.
     """
-    k = node.label
-    word, spans = node.mw.word, node.mw.spans
     if jump == 1:
-        head, top = "1", k + 1
+        head, top = word + "1", label + 1
     else:
-        head, top, spans = pattern.factor, k + pattern.j - pattern.i, spans + (len(word),)
-    on_axis = PathClass(PathKind.DELTA_ON_AXIS, _append_start(node, pc))
-    above = PathClass(PathKind.DELTA_ABOVE, len(word)) if k == 0 else pc
-    return [
-        _kid(node, word + head + "0" * (top - y), spans, y, jump, f"{tag}:{y}", above if y else on_axis)
-        for y in range(top + 1)
-    ]
+        head, top, spans, parity = word + pattern.factor, label + pattern.j - pattern.i, spans + (len(word),), -parity
+    sign = 1 if len(spans) % 2 == 0 else -1
+    on_axis = PathClass(PathKind.DELTA_ON_AXIS, _append_start(word, label, pc))
+    above = PathClass(PathKind.DELTA_ABOVE, len(word)) if label == 0 else pc
+    out = []
+    for y in range(top + 1):
+        child = head + "0" * (top - y)
+        if 2 * child.count("1") - len(child) != y:
+            raise _mislabelled(y, child)
+        if parity != sign:
+            raise _missigned(parity, spans, child)
+        out.append((child, spans, y, parity, f"{tag}:{y}", above if y else on_axis))
+    return out
 
 
 # --- slack parameter a and cut-and-paste ------------------------------------
 
 
-def _ladder(mw: MarkedWord, pattern: Pattern, pc: PathClass) -> tuple[int, int | None]:
+def _ladder(word: str, spans: tuple[int, ...], label: int, pc: PathClass, pattern: Pattern) -> tuple[int, int | None]:
     """(a, pin): the slack a of a delta word, and the ordinate its jump-j
     cuts must put z at, None when z must equal t.  They follow from the
     highest unmarked peak h (0 with none) and the highest marked peak h*
     (None with no span) of the suffix from pc.suffix_start."""
     if pc.kind is PathKind.GAMMA:
-        raise NotDeltaError(mw.to_text())
+        raise NotDeltaError(_text(word, spans))
     if pc.kind is PathKind.DELTA_ON_AXIS:
         return 0, None
     t0 = pc.suffix_start
-    phi = mw.word[t0:]
-    prof = profile(phi)
-    marked = {s - t0 + pattern.j for s in mw.spans if s >= t0}
-    h = max((prof[q] for q in range(1, len(phi)) if phi[q - 1 : q + 1] == "10" and q not in marked), default=0)
-    hstar = max((prof[q] for q in marked), default=None)
+    phi = word[t0:]
+    prof = list(accumulate(map(_STEP, phi), initial=0))
+    peaks = list(map(gt, phi, phi[1:]))  # peaks[q - 1]: a rise then a fall meet at q
+    marked = [s - t0 + pattern.j for s in spans if s >= t0]
+    for q in marked:
+        peaks[q - 1] = False
+    h = max(compress(prof[1:], peaks), default=0)
+    hstar = max(map(prof.__getitem__, marked), default=None)
     route_marked = hstar is not None and hstar - h > pattern.i
     top = hstar - pattern.i if route_marked else h
-    k = prof[-1]
     ji = pattern.j - pattern.i
-    if top - k < ji:
-        return max(top - k, 0), None
+    if top - label < ji:
+        return max(top - label, 0), None
     return ji - 1, top
 
 
@@ -268,7 +285,7 @@ def compute_a(mw: MarkedWord, pattern: Pattern) -> int:
     ValueError on malformed spans.
     """
     mw.validate(pattern)
-    return _ladder(mw, pattern, classify(mw, pattern))[0]
+    return _ladder(mw.word, mw.spans, height(mw.word), classify(mw, pattern), pattern)[0]
 
 
 # Arbitration knobs for the cut geometry; the differential suite (verify
@@ -277,30 +294,41 @@ _LINE_SLOPE = 0
 _HIGHEST_FIRST = True
 
 
-def _cut(mw: MarkedWord, pattern: Pattern, t0: int) -> tuple[MarkedWord, int, int, int]:
-    """Cut-and-paste the suffix of mw from the axis point t0: the cut word,
-    then t, z (both positions in mw) and z's ordinate."""
-    word = mw.word
+def _cut(word: str, spans: tuple[int, ...], pattern: Pattern, t0: int) -> tuple[str, tuple[int, ...], int, int, int]:
+    """Cut-and-paste the suffix of a marked word from the axis point t0: the
+    cut word and its spans, then t, z (both positions in word) and z's
+    ordinate.  spans are sorted, as every span tuple of the tree is."""
+    local = [s - t0 for s in spans if s >= t0]
+    if not local:
+        raise NoMarkedPoint(_text(word, spans))
     phi = word[t0:]
-    spans = [s - t0 for s in mw.spans if s >= t0]
-    if not spans:
-        raise NoMarkedPoint(mw.to_text())
     length = pattern.length
-    inside = {q for s in spans for q in range(s + 1, s + length)}
-    prof = profile(phi)
-    t = spans[-1] + length  # first point right of the rightmost marked peak's span
-    if t in inside:
-        raise SpanSplitError(f"t at {t0 + t} inside a span of {mw.to_text()}")
-    # points on or above the line through t, none inside a span; t is one
-    line = [q for q, y in enumerate(prof) if q not in inside and y >= prof[t] + _LINE_SLOPE * (q - t)]
-    z = max(line, key=prof.__getitem__) if _HIGHEST_FIRST else line[0]  # max keeps the leftmost
+    prof = list(accumulate(map(_STEP, phi), initial=0))
+    n = len(prof)
+    # the profile less the line's slope, every point strictly inside a span
+    # sunk to a floor under any ordinate, tilted or not
+    tilted = list(map(sub, prof, map(_LINE_SLOPE.__mul__, range(n)))) if _LINE_SLOPE else prof[:]
+    floor = -(abs(_LINE_SLOPE) + 1) * n - 1
+    for s in local:
+        tilted[s + 1 : s + length] = [floor] * (length - 1)
+    t = local[-1] + length  # first point right of the rightmost marked peak's span
+    if tilted[t] == floor:
+        raise SpanSplitError(f"t at {t0 + t} inside a span of {_text(word, spans)}")
+    if _HIGHEST_FIRST and not _LINE_SLOPE:
+        # every point under the horizontal line through t lies under t: the
+        # highest point outside the spans is on the line, the leftmost first
+        z = tilted.index(max(tilted))
+    else:
+        # points on or above the line through t, none inside a span; t is one
+        line = compress(range(n), map(ge, tilted, repeat(tilted[t])))
+        z = max(line, key=prof.__getitem__) if _HIGHEST_FIRST else next(line)  # max keeps the leftmost
     alpha = phi[z:]
-    kept = tuple(s for s in mw.spans if s < t0)
-    moved = tuple(t0 + 1 + (s - z if s >= z else s + len(alpha)) for s in spans)
-    out = MarkedWord(word[:t0] + "0" + alpha + phi[:z], kept + moved)
-    if height(out.word) != height(word) - 1:
-        raise InvariantViolation(f"cut of {mw.to_text()} gave {out.to_text()}, not one ordinate lower")
-    return out, t0 + t, t0 + z, prof[z]
+    # the spans from z on come first, then those before z, each group in order
+    moved = [t0 + 1 + s - z for s in local if s >= z] + [t0 + 1 + s + len(alpha) for s in local if s < z]
+    out, out_spans = word[:t0] + "0" + alpha + phi[:z], spans[: len(spans) - len(local)] + tuple(moved)
+    if 2 * out.count("1") - len(out) != 2 * word.count("1") - len(word) - 1:
+        raise InvariantViolation(f"cut of {_text(word, spans)} gave {_text(out, out_spans)}, not one ordinate lower")
+    return out, out_spans, t0 + t, t0 + z, prof[z]
 
 
 def cut_and_paste(mw: MarkedWord, pattern: Pattern) -> MarkedWord:
@@ -314,57 +342,67 @@ def cut_and_paste(mw: MarkedWord, pattern: Pattern) -> MarkedWord:
     mw.validate(pattern)
     if height(mw.word) < 1:
         raise ValueError(f"cut_and_paste needs endpoint ordinate >= 1, got {mw.to_text()}")
-    return _cut(mw, pattern, rightmost_suffix(mw, pattern)[2])[0]
+    return MarkedWord(*_cut(mw.word, mw.spans, pattern, rightmost_suffix(mw, pattern)[2])[:2])
 
 
 # --- productions -------------------------------------------------------------
 
 
-def _jump1(node: TreeNode, pattern: Pattern, pc: PathClass) -> list[_Kid]:
+def _jump1(word: str, spans: tuple[int, ...], label: int, parity: int, pc: PathClass, pattern: Pattern) -> list[_Kid]:
     if pc.kind is PathKind.GAMMA:
-        raise NotDeltaError(node.mw.to_text())
-    k = node.label
-    word, spans = node.mw.word, node.mw.spans
-    out = _appends(node, pattern, pc, 1, "up")
-    grown = MarkedWord(word + "1" + "0" * k, spans)
-    t0 = _append_start(node, pc)  # rightmost eligible axis point of grown
-    if any(s >= t0 for s in spans):
-        repaired = _cut(grown, pattern, t0)[0]
-        out.append(_kid(node, repaired.word, repaired.spans, 0, 1, "up:axis"))
+        raise NotDeltaError(_text(word, spans))
+    out = _appends(word, spans, label, parity, pc, pattern, 1, "up")
+    grown = word + "1" + "0" * label
+    t0 = _append_start(word, label, pc)  # rightmost eligible axis point of grown
+    if spans and spans[-1] >= t0:
+        repaired, repaired_spans = _cut(grown, spans, pattern, t0)[:2]
+        repaired_pc = None
     else:
         # the suffix is span-free and above the axis; flipped, it returns
         # to the axis only at the new endpoint
-        repaired_word = grown.word[:t0] + complement(grown.word[t0:]) + "1"
-        out.append(_kid(node, repaired_word, spans, 0, 1, "up:axis", PathClass(PathKind.DELTA_ON_AXIS, t0)))
+        repaired, repaired_spans = grown[:t0] + complement(grown[t0:]) + "1", spans
+        repaired_pc = PathClass(PathKind.DELTA_ON_AXIS, t0)
+    if 2 * repaired.count("1") - len(repaired) != 0:
+        raise _mislabelled(0, repaired)
+    if parity != (1 if len(repaired_spans) % 2 == 0 else -1):
+        raise _missigned(parity, repaired_spans, repaired)
+    out.append((repaired, repaired_spans, 0, parity, "up:axis", repaired_pc))
     return out
 
 
-def _jumpj(node: TreeNode, pattern: Pattern, pc: PathClass) -> list[_Kid]:
-    a, pin = _ladder(node.mw, pattern, pc)
-    k = node.label
+def _jumpj(word: str, spans: tuple[int, ...], label: int, parity: int, pc: PathClass, pattern: Pattern) -> list[_Kid]:
+    a, pin = _ladder(word, spans, label, pc, pattern)
+    k = label
     ji = pattern.j - pattern.i
-    word = node.mw.word
-    new_spans = node.mw.spans + (len(word),)
-    out = _appends(node, pattern, pc, pattern.j, "mark")
+    out = _appends(word, spans, label, parity, pc, pattern, pattern.j, "mark")
+    head, marked = word + pattern.factor, spans + (len(word),)
+    t0 = _append_start(word, label, pc)
+    behind = len(word) + pattern.length
+    parity = -parity
     for y in range(k + a, k + ji):
-        grown = MarkedWord(word + pattern.factor + "0" * y, new_spans)
-        repaired, t, z, z_ordinate = _cut(grown, pattern, _append_start(node, pc))
-        if t != len(word) + pattern.length:
-            raise InvariantViolation(f"t at {t}, not behind the new span, in {grown.to_text()}")
+        grown = head + "0" * y
+        repaired, repaired_spans, t, z, z_ordinate = _cut(grown, marked, pattern, t0)
+        if t != behind:
+            raise InvariantViolation(f"t at {t}, not behind the new span, in {_text(grown, marked)}")
         if pin is None:
             if z != t:
-                raise InvariantViolation(f"expected z=t for {grown.to_text()}")
+                raise InvariantViolation(f"expected z=t for {_text(grown, marked)}")
         elif z_ordinate != pin:
-            raise InvariantViolation(f"z off the pinned ordinate for {grown.to_text()}")
+            raise InvariantViolation(f"z off the pinned ordinate for {_text(grown, marked)}")
+        sign = 1 if len(repaired_spans) % 2 == 0 else -1
         m0 = k + ji - y - 1
-        out.append(_kid(node, repaired.word, repaired.spans, m0, pattern.j, f"mark:cut{y}"))
-        for g in range(1, m0 + 1):
-            out.append(_kid(node, repaired.word + "0" * g, repaired.spans, m0 - g, pattern.j, f"mark:cut{y}+{g}"))
+        for g in range(m0 + 1):
+            child = repaired + "0" * g
+            if 2 * child.count("1") - len(child) != m0 - g:
+                raise _mislabelled(m0 - g, child)
+            if parity != sign:
+                raise _missigned(parity, repaired_spans, child)
+            out.append((child, repaired_spans, m0 - g, parity, f"mark:cut{y}+{g}" if g else f"mark:cut{y}", None))
     got = Counter(kid[2] for kid in out)
     want = {m: 1 + max(0, ji - a - m) for m in range(k + ji + 1)}
     if got != want:
         raise MultiplicityMismatch(
-            f"jump-{pattern.j} of {node.mw.to_text()} (k={k}, a={a}): {dict(sorted(got.items()))} != {want}"
+            f"jump-{pattern.j} of {_text(word, spans)} (k={k}, a={a}): {dict(sorted(got.items()))} != {want}"
         )
     return out
 
@@ -372,7 +410,7 @@ def _jumpj(node: TreeNode, pattern: Pattern, pc: PathClass) -> list[_Kid]:
 def delta_jump1(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
     """The k+3 children one level deeper of a delta node with label k:
     appended children for labels 0..k+1 plus one repaired axis child."""
-    return _nodes(node, node.level + 1, _jump1(node, pattern, _node_class(node, pattern)))
+    return _nodes(node, node.level + 1, _jump1(*_fields(node), _node_class(node, pattern), pattern))
 
 
 def delta_jumpj(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
@@ -380,7 +418,7 @@ def delta_jumpj(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
     k+j-i down to 0) plus, for each y in [k+a, k+j-i-1], one cut-and-pasted
     child and its longer-falling copies.  Verifies the label multiset.
     The marked appends carry their class; the cut children are rescanned."""
-    return _nodes(node, node.level + pattern.j, _jumpj(node, pattern, _node_class(node, pattern)))
+    return _nodes(node, node.level + pattern.j, _jumpj(*_fields(node), _node_class(node, pattern), pattern))
 
 
 def gamma_expand(node: TreeNode, pattern: Pattern) -> tuple[list[TreeNode], list[TreeNode]]:
@@ -389,23 +427,39 @@ def gamma_expand(node: TreeNode, pattern: Pattern) -> tuple[list[TreeNode], list
     if pc.kind is not PathKind.GAMMA:
         raise NotGammaError(node.mw.to_text())
     return (
-        _nodes(node, node.level + 1, _appends(node, pattern, pc, 1, "gup")),
-        _nodes(node, node.level + pattern.j, _appends(node, pattern, pc, pattern.j, "gmark")),
+        _nodes(node, node.level + 1, _appends(*_fields(node), pc, pattern, 1, "gup")),
+        _nodes(node, node.level + pattern.j, _appends(*_fields(node), pc, pattern, pattern.j, "gmark")),
     )
 
 
-def _expand(node: TreeNode, pattern: Pattern, max_level: int | None = None) -> dict[int, list[_Kid]]:
-    """The children of a node that carries its class, as checked kids
-    grouped by target level, in production order: the walk's seam, under
-    expand_node."""
-    pc = node.path_class
+def _expand(
+    word: str,
+    spans: tuple[int, ...],
+    label: int,
+    parity: int,
+    level: int,
+    pc: PathClass,
+    pattern: Pattern,
+    max_level: int | None = None,
+) -> dict[int, list[_Kid]]:
+    """The children of a copy at `level` that carries its class, as checked
+    kids grouped by target level, in production order: the walk's seam,
+    under expand_node."""
     gamma = pc.kind is PathKind.GAMMA
     groups = {}
-    up, mark = node.level + 1, node.level + pattern.j
+    up, mark = level + 1, level + pattern.j
     if max_level is None or up <= max_level:
-        groups[up] = _appends(node, pattern, pc, 1, "gup") if gamma else _jump1(node, pattern, pc)
+        groups[up] = (
+            _appends(word, spans, label, parity, pc, pattern, 1, "gup")
+            if gamma
+            else _jump1(word, spans, label, parity, pc, pattern)
+        )
     if max_level is None or mark <= max_level:
-        groups[mark] = _appends(node, pattern, pc, pattern.j, "gmark") if gamma else _jumpj(node, pattern, pc)
+        groups[mark] = (
+            _appends(word, spans, label, parity, pc, pattern, pattern.j, "gmark")
+            if gamma
+            else _jumpj(word, spans, label, parity, pc, pattern)
+        )
     return groups
 
 
@@ -418,12 +472,8 @@ def expand_node(node: TreeNode, pattern: Pattern, max_level: int | None = None) 
     multiset check; every family that is built is checked.  A node without
     a class is classified here, once, and handed on to its productions.
     """
-    if node.path_class is None:
-        node = replace(node, path_class=classify(node.mw, pattern))
-    return {
-        level: sorted(_nodes(node, level, kids), key=lambda nd: nd.sort_key)
-        for level, kids in _expand(node, pattern, max_level).items()
-    }
+    groups = _expand(*_fields(node), node.level, _node_class(node, pattern), pattern, max_level)
+    return {level: sorted(_nodes(node, level, kids), key=lambda nd: nd.sort_key) for level, kids in groups.items()}
 
 
 # --- level engine ------------------------------------------------------------
@@ -475,24 +525,38 @@ def _node_order(node: TreeNode) -> tuple[tuple[str, tuple[int, ...], int], tuple
     return node.sort_key, node.provenance
 
 
+def _provenance(lineage: tuple) -> tuple[str, ...]:
+    """The provenance tuple of a walk lineage: () for the root, else a
+    linked pair (parent lineage, tag)."""
+    tags = []
+    while lineage:
+        lineage, tag = lineage
+        tags.append(tag)
+    return tuple(reversed(tags))
+
+
 def _walk(
     pattern: Pattern, max_ones: int, keep: Callable[[str], bool] | None = None
 ) -> tuple[list[_LevelTally], tuple[tuple, Exception] | None]:
     """Walk the tree depth-first from the root down to max_ones rise steps.
 
-    Each copy is counted once, by tally, where its parent's _expand made
-    it: into its level's copies by word and sign, and kept as a node when
-    keep(word) holds.  A copy that ends on the axis is DELTA_ON_AXIS and,
-    above the root, an axis return: it is not expanded, and _run reads the
-    returns and the on-axis tally from the level's copies and census.  A
-    copy above the axis is classified when it carries no class, counted
-    in the level's gamma tally when it is gamma, and becomes a node on the
-    stack, to be expanded, when it lies below max_ones.  A copy whose
-    classification or expansion raises grows no subtree, and the walk
-    goes on, since a level-by-level run may meet another failure first:
-    on a lower level, or on a smaller copy of the same level.  The second
-    item returned is the failure such a run meets first, as ((level, 0
-    for classify or 1 for expand, sort_key), exception), or None.
+    The stack holds plain tuples (word, spans, label, parity, level,
+    lineage, class), where a lineage is () at the root and otherwise the
+    linked pair (parent lineage, tag).  Each copy is counted once, in the
+    loop over the kids its parent's _expand made: into its level's copies
+    by word and sign, and kept as a TreeNode, with its lineage spelled out
+    as a provenance tuple, when keep(word) holds; no other node is built.
+    A copy that ends on the axis is DELTA_ON_AXIS and, above the root, an
+    axis return: it is not expanded, and _run reads the returns and the
+    on-axis tally from the level's copies and census.  A copy above the
+    axis is classified when it carries no class, counted in the level's
+    gamma tally when it is gamma, and pushed, to be expanded, when it lies
+    below max_ones.  A copy whose classification or expansion raises grows
+    no subtree, and the walk goes on, since a level-by-level run may meet
+    another failure first: on a lower level, or on a smaller copy of the
+    same level.  The second item returned is the failure such a run meets
+    first, as ((level, 0 for classify or 1 for expand, sort_key),
+    exception), or None.
 
     With keep, level n then also keeps, where keep holds, each kept walked
     return of level m (1 <= m < n) put in front of each kept node of level
@@ -509,43 +573,42 @@ def _walk(
         if failure is None or key < failure[0]:
             failure = (key, exc)
 
-    def tally(lineage: tuple[str, ...], kids: list[_Kid], level: int) -> list[TreeNode]:
-        """Count the kids at `level` of the node with `lineage`, and return
-        the nodes among them that the walk must expand."""
-        here = tallies[level]
-        copies = here.copies
-        nodes = []
-        for word, spans, label, parity, tag, pc in kids:
-            copies.setdefault(word, [0, 0])[parity < 0] += 1
-            if keep is not None and keep(word):
-                here.kept.append(TreeNode(MarkedWord(word, spans), label, parity, level, lineage + (tag,), pc))
-            if not label:  # DELTA_ON_AXIS: an axis return, never expanded
-                continue
-            if pc is None:  # built by a cut
-                try:
-                    pc = classify(MarkedWord(word, spans), pattern)
-                except Exception as exc:
-                    fail((level, 0, (word, spans, parity)), exc)
-                    continue
-            if pc.kind is PathKind.GAMMA:
-                here.gamma += 1
-            if level < max_ones:
-                nodes.append(TreeNode(MarkedWord(word, spans), label, parity, level, lineage + (tag,), pc))
-        return nodes
-
     tallies[0].copies[""] = [1, 0]  # no production makes the root: count it here
     if keep is not None and keep(""):
         tallies[0].kept.append(TreeNode(MarkedWord(""), 0, 1, 0))
-    stack = [TreeNode(MarkedWord(""), 0, 1, 0, (), PathClass(PathKind.DELTA_ON_AXIS, 0))] if max_ones else []
+    stack = [("", (), 0, 1, 0, (), PathClass(PathKind.DELTA_ON_AXIS, 0))] if max_ones else []
+    push = stack.append
     while stack:
-        node = stack.pop()
+        word, spans, label, parity, level, lineage, pc = stack.pop()
         try:
-            groups = _expand(node, pattern, max_ones)
+            groups = _expand(word, spans, label, parity, level, pc, pattern, max_ones)
         except Exception as exc:
-            fail((node.level, 1, node.sort_key), exc)
+            fail((level, 1, (word, spans, parity)), exc)
             continue
-        for level, kids in groups.items():
-            stack += tally(node.provenance, kids, level)
+        for n, kids in groups.items():
+            here = tallies[n]
+            copies = here.copies
+            deeper = n < max_ones
+            for word, spans, label, parity, tag, pc in kids:  # of the parent, only lineage is read on
+                cell = copies.get(word)
+                if cell is None:
+                    cell = copies[word] = [0, 0]
+                cell[parity < 0] += 1
+                if keep is not None and keep(word):
+                    kept = TreeNode(MarkedWord(word, spans), label, parity, n, _provenance((lineage, tag)), pc)
+                    here.kept.append(kept)
+                if not label:  # DELTA_ON_AXIS: an axis return, never expanded
+                    continue
+                if pc is None:  # built by a cut
+                    try:
+                        pc = classify(MarkedWord(word, spans), pattern)
+                    except Exception as exc:
+                        fail((n, 0, (word, spans, parity)), exc)
+                        continue
+                if pc.kind is PathKind.GAMMA:
+                    here.gamma += 1
+                if deeper:
+                    push((word, spans, label, parity, n, (lineage, tag), pc))
     if keep is not None:
         walked = [[q for q in t.kept if q.label == 0] for t in tallies]  # before any is grown
         for n, t in enumerate(tallies):
@@ -613,8 +676,8 @@ def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> 
     Each copy is classified at most once: plain-append children inherit
     their class from the parent, and only copies built by a cut that end
     above the axis are rescanned.  Children past max_ones are never built;
-    a node is built only for a copy that is expanded, or kept with
-    keep_nodes.  Every jump-j family that is built passes its label
+    a node is built only for a copy kept with keep_nodes, so a run without
+    it builds none.  Every jump-j family that is built passes its label
     multiset check.
     """
     if max_ones < 0:

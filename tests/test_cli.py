@@ -93,8 +93,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("error", [UnclassifiablePath, NotDeltaError, NotGammaError, NoMarkedPoint])
     def test_production_failure_is_a_soundness_error(self, monkeypatch, error):
-        def expand(node, pattern, max_level=None):
-            raise error(node.mw.to_text())
+        def expand(word, spans, label, parity, level, pc, pattern, max_level=None):
+            raise error(construction.MarkedWord(word, spans).to_text())
 
         monkeypatch.setattr(construction, "_expand", expand)  # the walk's seam
         code, out, err = run_cli(["verify", "--j", "2", "--i", "1", "--max-ones", "3"])
@@ -104,9 +104,9 @@ class TestVerify:
     def test_broken_invariant_is_a_soundness_error(self, monkeypatch):
         real_cut = construction._cut
 
-        def cut_one_fall_too_low(mw, pattern, t0):
-            out, *points = real_cut(mw, pattern, t0)
-            return (construction.MarkedWord(out.word + "0", out.spans), *points)
+        def cut_one_fall_too_low(word, spans, pattern, t0):
+            out, out_spans, *points = real_cut(word, spans, pattern, t0)
+            return (out + "0", out_spans, *points)
 
         monkeypatch.setattr(construction, "_cut", cut_one_fall_too_low)
         code, out, err = run_cli(["verify", "--j", "2", "--i", "1", "--max-ones", "4"])
@@ -126,9 +126,9 @@ class TestVerify:
             "from patternforge import construction\n"
             "from patternforge.cli import main\n"
             "real_cut = construction._cut\n"
-            "def cut(mw, pattern, t0):\n"
-            "    out, *points = real_cut(mw, pattern, t0)\n"
-            "    return (construction.MarkedWord(out.word + '0', out.spans), *points)\n"
+            "def cut(word, spans, pattern, t0):\n"
+            "    out, out_spans, *points = real_cut(word, spans, pattern, t0)\n"
+            "    return (out + '0', out_spans, *points)\n"
             "construction._cut = cut\n"
             "sys.exit(main(['verify', '--j', '2', '--i', '1', '--max-ones', '4']))\n"
         )
@@ -139,6 +139,34 @@ class TestVerify:
         assert proc.returncode == 3, proc.stderr
         # without the check, the run would fail later on a net of -1
         assert "internal soundness violation: label 0 != ordinate of" in proc.stderr
+
+    def test_a_cut_that_drops_a_span_is_a_soundness_error(self, monkeypatch):
+        """The sign check runs on cut children too, and under `python -O`."""
+        message = "internal soundness violation: parity -1 != sign of 0 spans in '0110'\n"
+        real_cut = construction._cut
+
+        def cut_dropping_a_span(word, spans, pattern, t0):
+            out, out_spans, *points = real_cut(word, spans, pattern, t0)
+            return (out, out_spans[:-1], *points)
+
+        monkeypatch.setattr(construction, "_cut", cut_dropping_a_span)
+        assert run_cli(["verify", "--j", "2", "--i", "1", "--max-ones", "4"]) == (3, "", message)
+        script = (
+            "import sys\n"
+            "from patternforge import construction\n"
+            "from patternforge.cli import main\n"
+            "real_cut = construction._cut\n"
+            "def cut(word, spans, pattern, t0):\n"
+            "    out, out_spans, *points = real_cut(word, spans, pattern, t0)\n"
+            "    return (out, out_spans[:-1], *points)\n"
+            "construction._cut = cut\n"
+            "sys.exit(main(['verify', '--j', '2', '--i', '1', '--max-ones', '4']))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, cwd=src, timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
 
     def test_tiny_budget_is_reported(self):
         code, _, err = run_cli(["verify", "--j", "2", "--i", "1", "--max-ones", "5", "--budget", "10"])
@@ -336,9 +364,10 @@ class TestRender:
         assert (code, out) == (2, "")
         assert "no factor shape at span start -1" in err
 
-    @pytest.mark.parametrize("spans,start", [("-5", -5), ("0,-4", -4), ("-3", -3)])
+    @pytest.mark.parametrize("spans,start", [("-5", -5), ("0,-4", -4), ("-3", -3), ("-4,0", -4)])
     def test_span_start_far_before_the_word_is_rejected(self, spans, start):
-        # a start below -len(word) indexed past the word and ended in an IndexError, exit 1
+        # a start below -len(word) indexed past the word and ended in an IndexError, exit 1;
+        # a list led by a negative start, passed as its own argument, stopped in argparse
         code, out, err = run_cli(["render", "--word", "110", "--spans", spans])
         assert (code, out) == (2, "")
         assert f"no factor shape at span start {start}" in err

@@ -328,13 +328,15 @@ class Boom(Exception):
 
 def fail_on(monkeypatch, should_fail):
     """Make construction._expand, the walk's seam under expand_node, raise
-    Boom(level, sort_key) on the nodes should_fail picks."""
+    Boom(level, sort_key) on the copies should_fail picks, each seen as a
+    node without lineage."""
     real = construction._expand
 
-    def expand(node, pattern, max_level=None):
+    def expand(word, spans, label, parity, level, pc, pattern, max_level=None):
+        node = TreeNode(MarkedWord(word, spans), label, parity, level, (), pc)
         if should_fail(node):
-            raise Boom(node.level, node.sort_key)
-        return real(node, pattern, max_level)
+            raise Boom(level, node.sort_key)
+        return real(word, spans, label, parity, level, pc, pattern, max_level)
 
     monkeypatch.setattr(construction, "_expand", expand)
 
@@ -603,18 +605,22 @@ class TestAxisReturns:
         full = list(reference_levels(P21, 8))
         levels = [nodes for nodes, *_ in full]
         assert sum(len(nodes) for nodes in levels[:8]) == 28056  # what a full walk expands
-        want = [nd for nd in walked_nodes(levels) if nd.level < 8 and (nd.level == 0 or nd.label > 0)]
+        want = [
+            (nd.level, nd.sort_key, nd.label)
+            for nd in walked_nodes(levels)
+            if nd.level < 8 and (nd.level == 0 or nd.label > 0)
+        ]
         real = construction._expand  # the walk's seam under expand_node
         for keep_nodes in (False, True):  # keeping the nodes walks no further
             seen = []
 
-            def spy(node, pattern, max_level=None):
-                seen.append(node)
-                return real(node, pattern, max_level)
+            def spy(word, spans, label, parity, level, *args):
+                seen.append((level, (word, spans, parity), label))
+                return real(word, spans, label, parity, level, *args)
 
             monkeypatch.setattr(construction, "_expand", spy)
             spliced = run_levels(P21, 8, keep_nodes=keep_nodes)
-            assert sorted(seen, key=lambda nd: (nd.level, nd.sort_key)) == want
+            assert sorted(seen) == want
             assert len(seen) == 2286
             assert [report_fields(rep) for rep in spliced.levels] == reference_fields(full)
 
@@ -712,8 +718,8 @@ class TestCarriedState:
         built = []
         real_expand = construction._expand  # the walk's seam under expand_node
 
-        def spy(node, pattern, max_level=None):
-            groups = real_expand(node, pattern, max_level)
+        def spy(*args):
+            groups = real_expand(*args)
             built.extend(lvl for lvl, kids in groups.items() for _ in kids)
             return groups
 
@@ -748,23 +754,15 @@ class TestCarriedState:
         monkeypatch.setattr(construction, "TreeNode", spy)
         return built
 
-    def test_the_walk_builds_a_node_only_to_expand_it(self, monkeypatch):
+    def test_the_walk_builds_a_node_only_for_a_kept_copy(self, monkeypatch):
         built = self.spy_on_nodes(monkeypatch)
-        expanded = []
-        real_expand = construction._expand  # the walk's seam under expand_node
-
-        def spy(node, pattern, max_level=None):
-            expanded.append(node)
-            return real_expand(node, pattern, max_level)
-
-        monkeypatch.setattr(construction, "_expand", spy)
         run_levels(P21, 8)
-        # 3,780 when a node was built for every axis return as well
-        assert len(built) == len(expanded) == 2286
-        assert {id(nd) for nd in built} == {id(nd) for nd in expanded}
-        built.clear()
-        run_levels(P31, 6, keep_nodes=True)  # kept nodes are built
-        assert max(nd.level for nd in built) == 6
+        assert built == []  # 2,286 when the walk built a node for every copy it expanded
+        kept = run_levels(P21, 8, keep_nodes=True)
+        copies = sum(p + m for rep in kept.levels for p, m in rep.label_census.values())
+        # 130,183 when a copy that was both kept and expanded got two nodes
+        assert len(built) == copies == 127_897
+        assert {id(nd) for nd in built} == {id(nd) for rep in kept.levels for nd in rep.nodes}
 
     def test_copies_of_builds_no_node_for_a_word_it_does_not_keep(self, monkeypatch):
         built = self.spy_on_nodes(monkeypatch)
