@@ -88,8 +88,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import accumulate, compress, repeat
-from operator import ge, gt, sub
+from operator import ge, gt
 from typing import Callable
 
 from .census import build_census
@@ -102,6 +103,7 @@ from .words import (
     classify,
     complement,
     height,
+    profile,
     rightmost_suffix,
 )
 
@@ -176,9 +178,6 @@ class TreeNode:
 # (word, spans, label, parity, tag, path_class).
 _Kid = tuple[str, tuple[int, ...], int, int, str, PathClass | None]
 
-# One step of a profile: a rise or a fall.
-_STEP = {"1": 1, "0": -1}.__getitem__
-
 
 def _text(word: str, spans: tuple[int, ...]) -> str:
     return MarkedWord(word, spans).to_text()
@@ -210,6 +209,13 @@ def _node_class(node: TreeNode, pattern: Pattern) -> PathClass:
     return node.path_class or classify(node.mw, pattern)
 
 
+@cache
+def _on_axis(start: int) -> PathClass:
+    """The class of a copy that ends on the axis, whose rightmost eligible
+    axis point before its endpoint is start: one shared object per start."""
+    return PathClass(PathKind.DELTA_ON_AXIS, start)
+
+
 def _append_start(word: str, label: int, pc: PathClass) -> int:
     """Rightmost eligible axis point of any plain append to a copy: its own
     endpoint when it ends on the axis, its suffix start otherwise."""
@@ -234,12 +240,12 @@ def _appends(
     else:
         head, top, spans, parity = word + pattern.factor, label + pattern.j - pattern.i, spans + (len(word),), -parity
     sign = 1 if len(spans) % 2 == 0 else -1
-    on_axis = PathClass(PathKind.DELTA_ON_AXIS, _append_start(word, label, pc))
+    on_axis = _on_axis(_append_start(word, label, pc))
     above = PathClass(PathKind.DELTA_ABOVE, len(word)) if label == 0 else pc
     out = []
     for y in range(top + 1):
         child = head + "0" * (top - y)
-        if 2 * child.count("1") - len(child) != y:
+        if height(child) != y:
             raise _mislabelled(y, child)
         if parity != sign:
             raise _missigned(parity, spans, child)
@@ -261,7 +267,7 @@ def _ladder(word: str, spans: tuple[int, ...], label: int, pc: PathClass, patter
         return 0, None
     t0 = pc.suffix_start
     phi = word[t0:]
-    prof = list(accumulate(map(_STEP, phi), initial=0))
+    prof = profile(phi)
     peaks = list(map(gt, phi, phi[1:]))  # peaks[q - 1]: a rise then a fall meet at q
     marked = [s - t0 + pattern.j for s in spans if s >= t0]
     for q in marked:
@@ -303,30 +309,27 @@ def _cut(word: str, spans: tuple[int, ...], pattern: Pattern, t0: int) -> tuple[
         raise NoMarkedPoint(_text(word, spans))
     phi = word[t0:]
     length = pattern.length
-    prof = list(accumulate(map(_STEP, phi), initial=0))
+    prof = profile(phi)
     n = len(prof)
-    # the profile less the line's slope, every point strictly inside a span
-    # sunk to a floor under any ordinate, tilted or not
-    tilted = list(map(sub, prof, map(_LINE_SLOPE.__mul__, range(n)))) if _LINE_SLOPE else prof[:]
+    # the profile with every point strictly inside a span sunk to a floor
+    # under any line through a point of phi
+    sunk = prof[:]
     floor = -(abs(_LINE_SLOPE) + 1) * n - 1
     for s in local:
-        tilted[s + 1 : s + length] = [floor] * (length - 1)
+        sunk[s + 1 : s + length] = [floor] * (length - 1)
     t = local[-1] + length  # first point right of the rightmost marked peak's span
-    if tilted[t] == floor:
+    if sunk[t] == floor:
         raise SpanSplitError(f"t at {t0 + t} inside a span of {_text(word, spans)}")
-    if _HIGHEST_FIRST and not _LINE_SLOPE:
-        # every point under the horizontal line through t lies under t: the
-        # highest point outside the spans is on the line, the leftmost first
-        z = tilted.index(max(tilted))
-    else:
-        # points on or above the line through t, none inside a span; t is one
-        line = compress(range(n), map(ge, tilted, repeat(tilted[t])))
-        z = max(line, key=prof.__getitem__) if _HIGHEST_FIRST else next(line)  # max keeps the leftmost
+    # the line through t, one ordinate per point, and the points on or above
+    # it, none inside a span; t is one
+    line = accumulate(repeat(_LINE_SLOPE, n - 1), initial=prof[t] - _LINE_SLOPE * t)
+    above = compress(range(n), map(ge, sunk, line))
+    z = max(above, key=prof.__getitem__) if _HIGHEST_FIRST else next(above)  # max keeps the leftmost
     alpha = phi[z:]
     # the spans from z on come first, then those before z, each group in order
     moved = [t0 + 1 + s - z for s in local if s >= z] + [t0 + 1 + s + len(alpha) for s in local if s < z]
     out, out_spans = word[:t0] + "0" + alpha + phi[:z], spans[: len(spans) - len(local)] + tuple(moved)
-    if 2 * out.count("1") - len(out) != 2 * word.count("1") - len(word) - 1:
+    if height(out) != height(word) - 1:
         raise InvariantViolation(f"cut of {_text(word, spans)} gave {_text(out, out_spans)}, not one ordinate lower")
     return out, out_spans, t0 + t, t0 + z, prof[z]
 
@@ -361,8 +364,8 @@ def _jump1(word: str, spans: tuple[int, ...], label: int, parity: int, pc: PathC
         # the suffix is span-free and above the axis; flipped, it returns
         # to the axis only at the new endpoint
         repaired, repaired_spans = grown[:t0] + complement(grown[t0:]) + "1", spans
-        repaired_pc = PathClass(PathKind.DELTA_ON_AXIS, t0)
-    if 2 * repaired.count("1") - len(repaired) != 0:
+        repaired_pc = _on_axis(t0)
+    if height(repaired) != 0:
         raise _mislabelled(0, repaired)
     if parity != (1 if len(repaired_spans) % 2 == 0 else -1):
         raise _missigned(parity, repaired_spans, repaired)
@@ -393,7 +396,7 @@ def _jumpj(word: str, spans: tuple[int, ...], label: int, parity: int, pc: PathC
         m0 = k + ji - y - 1
         for g in range(m0 + 1):
             child = repaired + "0" * g
-            if 2 * child.count("1") - len(child) != m0 - g:
+            if height(child) != m0 - g:
                 raise _mislabelled(m0 - g, child)
             if parity != sign:
                 raise _missigned(parity, repaired_spans, child)
@@ -576,7 +579,7 @@ def _walk(
     tallies[0].copies[""] = [1, 0]  # no production makes the root: count it here
     if keep is not None and keep(""):
         tallies[0].kept.append(TreeNode(MarkedWord(""), 0, 1, 0))
-    stack = [("", (), 0, 1, 0, (), PathClass(PathKind.DELTA_ON_AXIS, 0))] if max_ones else []
+    stack = [("", (), 0, 1, 0, (), _on_axis(0))] if max_ones else []
     push = stack.append
     while stack:
         word, spans, label, parity, level, lineage, pc = stack.pop()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 __all__ = [
     "Pattern",
@@ -110,9 +110,13 @@ class MarkedWord:
         return cls(word, tuple(int(p) for p in tail.split(",") if p != ""))
 
 
+# The step of one letter: a rise for "1", a fall for any other.
+_STEP = {"1": 1}.get
+
+
 def profile(word: str) -> list[int]:
     """Ordinates of all len(word)+1 profile positions, starting at 0."""
-    return list(accumulate((1 if c == "1" else -1 for c in word), initial=0))
+    return list(accumulate(map(_STEP, word, repeat(-1)), initial=0))
 
 
 def height(word: str) -> int:
