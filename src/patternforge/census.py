@@ -3,13 +3,17 @@
 The words with n ones and z zeros, in lexicographic order ('0' before
 '1'), are ranked 0 .. C(n+z, z) - 1: the combinatorial number system
 (Knuth, TAOCP 7.2.1.3).  The census of level n holds, for each zero count
-z in 0..n, one list of plus copies and one of minus copies indexed by
-that rank: C(2n+1, n) cells per sign, however many copies they count.
+z in 0..n, two lists indexed by that rank: the copies of each word (plus
++ minus) and its net (plus - minus).  That is C(2n+1, n) cells per list,
+however many copies they count.
 
 The words of class (n, z) that begin with a fixed prefix q fill one block
 of ranks, from rank_prefix(q, n, z) on, in the order of their suffixes'
-own ranks in class (n - |q|_1, z - |q|_0).  So putting q in front of
-every word of a lower level is one block add per zero count.
+own ranks in class (n - |q|_1, z - |q|_0).  The sign of a concatenation
+is the product of the signs, so q with (copies, net) (qc, qd) in front of
+w with (wc, wd) gives q + w qc*wc copies and net qd*wd: putting q in front
+of every word of a lower level is two block adds per zero count, one per
+list.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from collections.abc import ItemsView, Iterable, Iterator, Mapping
 from itertools import compress, count, repeat
 from math import comb
-from operator import add, eq, mul, or_, sub, truth
+from operator import add, eq, mul
 
 __all__ = ["WordCensus"]
 
@@ -51,22 +55,29 @@ def unrank(rank: int, ones: int, zeros: int) -> str:
     return "".join(bits) + "1" * ones + "0" * zeros
 
 
+def _signed(copies: int, net: int) -> tuple[int, int]:
+    """The (plus, minus) copies of a cell with that many copies and that net."""
+    return (copies + net) // 2, (copies - net) // 2
+
+
 class WordCensus(Mapping):
     """The census of one level, word -> (plus copies, minus copies), as a
     read-only mapping over the words with at least one copy.
 
     It iterates in ascending string order by walking the word trie, and
-    spells a word out only when it is read.  Per sign it holds one list per
-    zero count z, indexed by rank: the copies of each word with `ones` ones
-    and z zeros.  build_census fills the lists; nothing changes them after.
+    spells a word out only when it is read.  It holds two lists per zero
+    count z, indexed by rank: the copies (plus + minus) and the net (plus
+    - minus) of each word with `ones` ones and z zeros; a (plus, minus)
+    cell is derived from the two when it is read.  build_census fills the
+    lists; nothing changes them after.
     """
 
-    __slots__ = ("ones", "_plus", "_minus")
+    __slots__ = ("ones", "_copies", "_net")
 
-    def __init__(self, ones: int, plus: list[list[int]], minus: list[list[int]]) -> None:
+    def __init__(self, ones: int, copies: list[list[int]], net: list[list[int]]) -> None:
         self.ones = ones
-        self._plus = plus
-        self._minus = minus
+        self._copies = copies
+        self._net = net
 
     def __getitem__(self, word: str) -> tuple[int, int]:
         ones = self.ones
@@ -76,10 +87,10 @@ class WordCensus(Mapping):
         if zeros > ones or word.count("0") != zeros:
             raise KeyError(word)
         rank = rank_prefix(word, ones, zeros)
-        cell = self._plus[zeros][rank], self._minus[zeros][rank]
-        if cell == (0, 0):
+        copies = self._copies[zeros][rank]
+        if not copies:
             raise KeyError(word)
-        return cell
+        return _signed(copies, self._net[zeros][rank])
 
     def _cells(self) -> Iterator[tuple[str, tuple[int, int]]]:
         """(word, cell) for every word with a copy, in ascending string order.
@@ -87,7 +98,7 @@ class WordCensus(Mapping):
         The trie is walked depth first, 0 before 1, so the words of each
         zero count come in rank order: a counter per zero count gives the
         rank of each word met."""
-        ones, plus, minus = self.ones, self._plus, self._minus
+        ones, copies, net = self.ones, self._copies, self._net
         ranks = [0] * (ones + 1)
         stack = [("", 0)]
         while stack:
@@ -96,9 +107,9 @@ class WordCensus(Mapping):
                 for z in range(zeros, ones + 1):
                     rank = ranks[z]
                     ranks[z] = rank + 1
-                    cell = plus[z][rank], minus[z][rank]
-                    if cell != (0, 0):
-                        yield prefix + "0" * (z - zeros), cell
+                    cell = copies[z][rank]
+                    if cell:
+                        yield prefix + "0" * (z - zeros), _signed(cell, net[z][rank])
                 continue
             stack.append((prefix + "1", zeros))
             if zeros < ones:
@@ -111,7 +122,7 @@ class WordCensus(Mapping):
         return _Items(self)
 
     def __len__(self) -> int:
-        return sum(sum(map(truth, map(or_, p, m))) for p, m in zip(self._plus, self._minus))
+        return sum(len(c) - c.count(0) for c in self._copies)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self._cells())!r})"
@@ -119,13 +130,8 @@ class WordCensus(Mapping):
     def labels(self) -> dict[int, tuple[int, int]]:
         """(plus, minus) copies per label, the endpoint ordinate ones - z,
         in ascending label order, for every label with a copy."""
-        ones = self.ones
-        out = {}
-        for z in range(ones, -1, -1):
-            cell = sum(self._plus[z]), sum(self._minus[z])
-            if cell != (0, 0):
-                out[ones - z] = cell
-        return out
+        ones, copies, net = self.ones, self._copies, self._net
+        return {ones - z: _signed(sum(copies[z]), sum(net[z])) for z in range(ones, -1, -1) if any(copies[z])}
 
     def survivors(self) -> tuple[str, ...]:
         """The words with net (plus - minus) 1, by length and then
@@ -133,8 +139,8 @@ class WordCensus(Mapping):
         ones = self.ones
         return tuple(
             unrank(rank, ones, z)
-            for z, (p, m) in enumerate(zip(self._plus, self._minus))
-            for rank in compress(count(), map(eq, map(sub, p, m), repeat(1)))
+            for z, net in enumerate(self._net)
+            for rank in compress(count(), map(eq, net, repeat(1)))
         )
 
     def off_net(self) -> tuple[str, int] | None:
@@ -142,9 +148,9 @@ class WordCensus(Mapping):
         outside {0, 1}, over every zero count; None when there is none."""
         ones = self.ones
         bad = []
-        for z, (p, m) in enumerate(zip(self._plus, self._minus)):
-            if not set(map(sub, p, m)) <= {0, 1}:
-                bad += [(unrank(r, ones, z), net) for r, net in enumerate(map(sub, p, m)) if net not in (0, 1)]
+        for z, net in enumerate(self._net):
+            if not set(net) <= {0, 1}:
+                bad += [(unrank(r, ones, z), d) for r, d in enumerate(net) if d not in (0, 1)]
         return min(bad) if bad else None
 
 
@@ -170,24 +176,24 @@ def build_census(
     """The census of a level with `ones` ones: the walked `copies` (word ->
     [plus, minus] copies), and for each (returns, below) in `grown`, every
     word q of `returns`, in the same shape, put in front of every word w
-    of `below`, the census of level ones - |q|_1.  A q with (qp, qm)
-    copies in front of a w with (wp, wm) gives q + w qp*wp + qm*wm plus
-    and qp*wm + qm*wp minus copies."""
-    cells_plus = [[0] * comb(ones + z, z) for z in range(ones + 1)]
-    cells_minus = [[0] * comb(ones + z, z) for z in range(ones + 1)]
+    of `below`, the census of level ones - |q|_1.  Each walked word and
+    each q is turned into (copies, net) = (plus + minus, plus - minus)
+    once.  A q with (qc, qd) in front of a w with (wc, wd) gives q + w
+    qc*wc copies and net qd*wd, since the sign of q + w is the product of
+    their signs: one block add per list and zero count."""
+    cells_copies = [[0] * comb(ones + z, z) for z in range(ones + 1)]
+    cells_net = [[0] * comb(ones + z, z) for z in range(ones + 1)]
     for word, (p, m) in copies.items():
         zeros = len(word) - ones
         rank = rank_prefix(word, ones, zeros)
-        cells_plus[zeros][rank] += p
-        cells_minus[zeros][rank] += m
+        cells_copies[zeros][rank] += p + m
+        cells_net[zeros][rank] += p - m
     for returns, below in grown:
         for q, (qp, qm) in returns.items():
+            qc, qd = qp + qm, qp - qm
             shift = len(q) - (ones - below.ones)  # the zeros of q
-            for z, (wp, wm) in enumerate(zip(below._plus, below._minus), shift):
+            for z, (wc, wd) in enumerate(zip(below._copies, below._net), shift):
                 start = rank_prefix(q, ones, z)
-                dst_plus, dst_minus = cells_plus[z], cells_minus[z]
-                _block_add(dst_plus, start, wp, qp)
-                _block_add(dst_plus, start, wm, qm)
-                _block_add(dst_minus, start, wm, qp)
-                _block_add(dst_minus, start, wp, qm)
-    return WordCensus(ones, cells_plus, cells_minus)
+                _block_add(cells_copies[z], start, wc, qc)
+                _block_add(cells_net[z], start, wd, qd)
+    return WordCensus(ones, cells_copies, cells_net)

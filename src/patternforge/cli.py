@@ -6,7 +6,7 @@ file that is not UTF-8, does not parse, or yields a negative label or
 multiplicity is reported as `{file}: {message}`.  generate, verify and
 trace check the budget (--budget, DEFAULT_BUDGET candidates per level) of
 every level before they build the tree: a level's census has as many
-cells per sign as the enumeration has candidates.
+cells per list as the enumeration has candidates.
 Exit code 3 is any words.InvariantViolation: a net outside {0, 1}, a child
 multiset off its formula, a cut that splits a span, a node the productions
 cannot classify or expand, or a child that breaks a production invariant
@@ -44,24 +44,34 @@ def _pattern(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Patte
         raise AssertionError  # unreachable
 
 
+# An integer as the command line takes it: an optional '-', then ASCII
+# digits.  int() alone would also take spaces, '+', '_' and other digits.
+_INTEGER = re.compile("-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """argparse type for an integer, matching _INTEGER."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _count(text: str) -> int:
-    """argparse type for a count of ones or levels: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    """argparse type for a count of ones or levels, or a budget: ASCII
+    digits only, so an integer >= 0."""
+    value = _integer(text)
+    if text.startswith("-"):
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return value
 
 
 def _add_pattern_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--j", type=int, required=True, help="rise count of the forbidden factor")
-    sub.add_argument("--i", type=int, required=True, help="fall count of the forbidden factor")
+    sub.add_argument("--j", type=_integer, required=True, help="rise count of the forbidden factor")
+    sub.add_argument("--i", type=_integer, required=True, help="fall count of the forbidden factor")
 
 
 def _add_budget_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sub.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
 
 
 def cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -146,10 +156,10 @@ def cmd_render(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     word = args.word
     if set(word) - {"0", "1"}:
         parser.error(f"word must be over 0/1, got {word!r}")
-    try:
-        spans = tuple(int(s) for s in args.spans.split(",")) if args.spans else ()
-    except ValueError:
+    entries = args.spans.split(",") if args.spans else []
+    if not all(map(_INTEGER.fullmatch, entries)):
         parser.error(f"--spans must be comma-separated integers, got {args.spans!r}")
+    spans = tuple(map(int, entries))
     if (args.j is None) != (args.i is None):
         parser.error("--j and --i must be given together")
     if args.j is not None:
@@ -230,8 +240,8 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("render", help="ASCII profile of a word")
     p.add_argument("--word", required=True)
     p.add_argument("--spans", default="")
-    p.add_argument("--j", type=int)
-    p.add_argument("--i", type=int)
+    p.add_argument("--j", type=_integer)
+    p.add_argument("--i", type=_integer)
     p.set_defaults(func=cmd_render)
 
     args = parser.parse_args(_attach_spans(sys.argv[1:] if argv is None else argv))

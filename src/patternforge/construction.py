@@ -40,12 +40,13 @@ run_levels walks the tree depth-first with an explicit stack and counts
 each copy into its level's censuses where its parent's production makes
 it.  The walk tallies the words it meets in one small dict per level,
 word -> [plus, minus] copies; each level's census is then a dense one
-(see census): one list of copies per sign and zero count, indexed by the
-word's lexicographic rank, so a level with n ones costs C(2n+1, n) cells
-per sign, whatever its copies number.  The walk's stack holds plain
-tuples, and a copy's lineage is a pointer to its parent's plus its own
-tag; a TreeNode, with its lineage spelled out as a provenance tuple, is
-built only for a copy the caller keeps, so a census-only run builds none.
+(see census): per zero count, one list of copies (plus + minus) and one
+of nets (plus - minus), indexed by the word's lexicographic rank, so a
+level with n ones costs C(2n+1, n) cells per list, whatever its copies
+number.  The walk's stack holds plain tuples, and a copy's lineage is a
+pointer to its parent's plus its own tag; a TreeNode, with its lineage
+spelled out as a provenance tuple, is built only for a copy the caller
+keeps, so a census-only run builds none.
 The productions read and return the same plain fields and check every
 child they make against its label and sign.  A copy that fails to
 classify or expand is held back until every lower level has been
@@ -61,8 +62,10 @@ signs multiplied by q's.  run_levels therefore walks only the nodes no
 axis return lies above.  The returns of level m are its walked copies
 that end on the axis, the words of length 2m among its tallied words,
 and level n is its walked part plus, for each m in 1..n-1, the returns of
-level m concatenated with the full census of level n - m: one block add
-per return and zero count into the dense census.  Runs that need
+level m concatenated with the full census of level n - m.  The sign of a
+concatenation is the product of the signs, so a return's copies multiply
+the copies below and its net the net below: two block adds per return
+and zero count into the dense census, one per list.  Runs that need
 the nodes themselves (keep_nodes, the copies of one word) build them the
 same way: each walked return of level m is put in front of every kept node
 of level n - m.  They differ from a census-only run in the nodes they keep
@@ -157,6 +160,9 @@ class NetOutOfRange(InvariantViolation):
         self.level = level
         self.net = net
         self.provenances = provenances
+
+    def __reduce__(self):
+        return type(self), (self.word, self.level, self.net, self.provenances)
 
 
 @dataclass(frozen=True, slots=True)
@@ -648,7 +654,7 @@ def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> 
 
     The tree is walked depth-first and every copy is counted into its
     level's censuses where its parent's production makes it, so memory
-    holds each level's dense census (C(2n+1, n) cells per sign for n
+    holds each level's dense census (C(2n+1, n) cells per list for n
     ones), the walk's tallies and its stack, not the copies (unless
     keep_nodes).  Per level the report carries the label census, the word
     census as a read-only Mapping in ascending word order

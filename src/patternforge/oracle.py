@@ -105,7 +105,7 @@ def _check_budget(ones: int, budget: int) -> None:
 def _check_levels(max_ones: int, budget: int) -> None:
     """_check_budget for every level up to max_ones, lowest first, so an
     over-budget request names its first level over budget.  The level
-    engine's census needs the same C(2n+1, n) cells per sign for level n,
+    engine's census needs the same C(2n+1, n) cells per list for level n,
     so generate, verify and trace run this before they build anything."""
     for n in range(max_ones + 1):
         _check_budget(n, budget)

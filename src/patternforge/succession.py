@@ -47,8 +47,12 @@ __all__ = [
 class RuleParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} at line {line}, column {col}")
+        self.message = message
         self.line = line
         self.col = col
+
+    def __reduce__(self):
+        return type(self), (self.message, self.line, self.col)
 
 
 class NegativeLabel(Exception):
@@ -288,6 +292,8 @@ def expand_census(rule: RuleSpec, levels: int) -> list[LevelCensus]:
     land within `levels`); within that level, the node named is the one
     with the smallest (label, sign), minus after plus.
     """
+    if levels < 0:
+        raise ValueError("levels must be >= 0")
     # edges[level][sign]: label -> change of the count there, sign 0 plus, 1 minus
     edges: list[tuple[dict[int, int], dict[int, int]]] = [({}, {}) for _ in range(levels + 1)]
     edges[0][0].update({rule.axiom: 1, rule.axiom + 1: -1})

@@ -111,6 +111,11 @@ class TestLevelChecks:
 
     def test_a_return_in_front_of_a_lower_level_is_one_block_per_zero_count(self):
         below = census_of(1, {"1": (1, 0), "10": (1, 1), "01": (0, 1)})
-        census = build_census(2, {}, [({"10": [1, 2]}, below)])
         # "10" + w gets qp*wp + qm*wm plus and qp*wm + qm*wp minus copies
-        assert dict(census.items()) == {"101": (1, 2), "1001": (2, 1), "1010": (3, 3)}
+        for cell, expected in [
+            ([1, 2], {"101": (1, 2), "1001": (2, 1), "1010": (3, 3)}),
+            ([2, 2], {"101": (2, 2), "1001": (2, 2), "1010": (4, 4)}),  # net 0
+            ([1, 3], {"101": (1, 3), "1001": (3, 1), "1010": (4, 4)}),  # net -2
+        ]:
+            census = build_census(2, {}, [({"10": cell}, below)])
+            assert dict(census.items()) == expected

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 from conftest import drop_last_mark_child, run_cli
 from patternforge import construction
 from patternforge.construction import NoMarkedPoint, NotDeltaError, NotGammaError, collect_copies, run_levels
+from patternforge.succession import RuleParseError
 from patternforge.words import Pattern, UnclassifiablePath
 
 
@@ -187,6 +190,13 @@ class TestVerify:
         # the first level over budget, as brute_force would report it
         assert err == "budget exceeded: 35 candidate words exceed budget 10\n"
 
+    @pytest.mark.parametrize("budget,message", [("-1", "must be >= 0, got -1"), ("1_000", "invalid int value: '1_000'")])
+    def test_a_budget_that_is_not_a_count_is_a_usage_error(self, budget, message):
+        # "-1" was taken, and every level was reported over a budget of -1
+        code, out, err = run_cli(["verify", "--j", "2", "--i", "1", "--max-ones", "2", "--budget", budget])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage:") and f"--budget: {message}" in err
+
 
 class TestCount:
     def test_rows_and_total(self):
@@ -198,6 +208,22 @@ class TestCount:
         code, out, err = run_cli(["count", "--j", "2", "--i", "1", "--ones", "-1"])
         assert (code, out) == (2, "")
         assert "--ones: must be >= 0, got -1" in err
+
+    @pytest.mark.parametrize("ones", ["0_1", "\u0662", " 2", "+2", "2.0", ""])
+    def test_ones_that_are_not_ascii_digits_are_a_usage_error(self, ones):
+        # int() read "0_1" as 1 and the Arabic-Indic two as 2
+        code, out, err = run_cli(["count", "--j", "2", "--i", "1", "--ones", ones])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage:") and f"--ones: invalid int value: {ones!r}" in err
+
+    @pytest.mark.parametrize(
+        "j,i,message",
+        [("0_2", "1", "--j: invalid int value: '0_2'"), ("2", "\u0661", "--i: invalid int value: '\u0661'")],
+    )
+    def test_a_pattern_flag_that_is_not_an_integer_is_a_usage_error(self, j, i, message):
+        code, out, err = run_cli(["count", "--j", j, "--i", i, "--ones", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage:") and message in err
 
 
 class TestRule:
@@ -391,6 +417,13 @@ class TestRender:
         assert (code, out) == (2, "")
         assert "--spans must be comma-separated integers" in err
 
+    @pytest.mark.parametrize("spans", [" +0", "0_0", "+0", "0 ", "\u0660"])
+    def test_a_span_that_is_not_an_integer_is_a_usage_error(self, spans):
+        # int() read each of these as 0, and a span was drawn at 0
+        code, out, err = run_cli(["render", "--word", "110", "--spans", spans])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage:") and f"--spans must be comma-separated integers, got {spans!r}" in err
+
 
 class TestTopLevel:
     def test_version(self):
@@ -423,3 +456,17 @@ class TestTopLevel:
             construction.NetOutOfRange,
         ):
             assert issubclass(error, InvariantViolation)
+
+    @pytest.mark.parametrize(
+        "error,fields",
+        [
+            (construction.NetOutOfRange("110", 2, -1, (("mark",), ())), ("word", "level", "net", "provenances")),
+            (RuleParseError("unknown variable 'q'", 2, 10), ("line", "col")),
+        ],
+        ids=["NetOutOfRange", "RuleParseError"],
+    )
+    def test_an_error_survives_pickle_and_copy(self, error, fields):
+        # each took only its message back from args, so rebuilding it raised TypeError
+        for clone in (pickle.loads(pickle.dumps(error)), copy.copy(error)):
+            assert type(clone) is type(error) and str(clone) == str(error)
+            assert [getattr(clone, f) for f in fields] == [getattr(error, f) for f in fields]

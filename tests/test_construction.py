@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DIFFERENTIAL_PATTERNS, cached_run, drop_last_mark_child, expected_word_census
+from conftest import CLEAN_PATTERNS, DIFFERENTIAL_PATTERNS, cached_run, drop_last_mark_child, expected_word_census
 from patternforge.construction import (
     MultiplicityMismatch,
     NetOutOfRange,
@@ -818,10 +818,9 @@ class TestCollectCopies:
             collect_copies(cached_run(2, 1, 4), "110")
 
     def test_copy_counts_double_per_occurrence(self):
-        result = cached_run(2, 1, 4)
-        for rep in result.levels:
-            expected = expected_word_census(P21, rep.level)
-            assert rep.word_census == expected
+        for j, i in CLEAN_PATTERNS:
+            for rep in cached_run(j, i, 8).levels:
+                assert rep.word_census == expected_word_census(Pattern(j, i), rep.level), (j, i, rep.level)
 
 
 class TestCutGeometryKnobs:

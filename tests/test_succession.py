@@ -184,6 +184,11 @@ class TestCensusEngine:
         with pytest.raises(NegativeLabel):
             expand_census(parse_rule("axiom: 0\njump 1: (k-1..k)\n"), 1)
 
+    def test_a_negative_level_count_is_refused(self):
+        # it indexed past an empty edge list: IndexError
+        with pytest.raises(ValueError, match="levels must be >= 0"):
+            expand_census(parse_rule("axiom: 0\njump 1: (0..k+1)"), -1)
+
 
 class TestCensusEqual:
     def test_net_equal_but_exact_unequal(self):
