@@ -107,9 +107,9 @@ class WordCensus(Mapping):
                 for z in range(zeros, ones + 1):
                     rank = ranks[z]
                     ranks[z] = rank + 1
-                    cell = copies[z][rank]
-                    if cell:
-                        yield prefix + "0" * (z - zeros), _signed(cell, net[z][rank])
+                    c = copies[z][rank]
+                    if c:
+                        yield prefix + "0" * (z - zeros), _signed(c, net[z][rank])
                 continue
             stack.append((prefix + "1", zeros))
             if zeros < ones:
