@@ -1,18 +1,20 @@
 """Level-by-level generation of all words, with marked-pattern bookkeeping.
 
-Every node is a marked word; level = number of rise steps.  A node whose
-word ends at ordinate k expands through two productions: a jump-1 family
-(append one rise and some falls) and a jump-j family (append the whole
-forbidden factor, atomically marked, and some falls; children flip sign).
+Every node is a marked word; level = number of rise steps.  Each node
+fires the same production table (_expand), one row per jump: jump 1
+appends one rise and then falls; jump j appends the whole forbidden
+factor, atomically marked, and then falls, so its children flip sign.
+A gamma node (suffix starts with a fall and holds a span with i < b < j)
+takes each row's plain appends only, one child per label.  A delta node
+(ending on the axis, or whose rightmost suffix starts with a rise, stays
+strictly above the axis and carries only high-peaked spans) takes each
+row's production: the same appends plus repair children that plain
+appends can never produce:
 
-Delta nodes (ending on the axis, or whose rightmost suffix starts with a
-rise, stays strictly above the axis and carries only high-peaked spans)
-additionally emit repair children that plain appends can never produce:
-
-- jump-1 grows one extra axis child: append a rise and k falls, split off
+- jump 1 grows one extra axis child: append a rise and k falls, split off
   the rightmost axis suffix, and either switch it to its complement plus a
   rise (no marked step inside) or cut-and-paste it (see below);
-- jump-j grows, for each y in [k+a, k+j-i-1], a cut-and-pasted child plus
+- jump j grows, for each y in [k+a, k+j-i-1], a cut-and-pasted child plus
   its further-falling copies.  The slack a in [0, j-i-1] depends on the
   highest unmarked peak h and highest marked peak h* of the suffix.
 
@@ -26,9 +28,6 @@ the highest (then leftmost) point of phi on or above that line that is not
 strictly inside a span, z = t when nothing else qualifies.  The result
 v + fall + phi[z:] + phi[:z] ends one ordinate lower.  The slack a reads h
 and h* from the same phi.
-
-Gamma nodes (suffix starts with a fall and holds a span with i < b < j)
-expand by plain appends only, one child per label.
 
 Each plus/minus copy of a word corresponds to one subset of its factor
 occurrences; per level, net = plus - minus is 1 for avoiding words and 0
@@ -46,11 +45,9 @@ level with n ones costs C(2n+1, n) cells per list, whatever its copies
 number.  The walk's stack holds plain tuples, and a copy's lineage is a
 pointer to its parent's plus its own tag; a TreeNode, with its lineage
 spelled out as a provenance tuple, is built only for a copy the caller
-keeps, so a census-only run builds none.
-The productions read and return the same plain fields and check every
-child they make against its label and sign.  A copy that fails to
-classify or expand is held back until every lower level has been
-checked, so failures surface in the order of a level-by-level run.
+keeps, so a census-only run builds none.  The productions read and return
+the same plain fields and check every child they make against its label
+and sign.
 
 Axis returns.  A node q that ends on the axis above the root (label 0,
 level m >= 1) grows the whole tree again behind its word: every child of
@@ -70,9 +67,13 @@ the nodes themselves (keep_nodes, the copies of one word) build them the
 same way: each walked return of level m is put in front of every kept node
 of level n - m.  They differ from a census-only run in the nodes they keep
 and in nothing else: copies_of is a run to its word's level, with the same
-walk, splice and level checks, that keeps the factors of its word.  Only
-the lineages of a NetOutOfRange come from a second walk, which checks
-nothing and runs only once a level has failed.
+walk, splice and level checks, that keeps the factors of its word.  A
+failure below an axis return repeats one of a lower level, so the walk
+meets every failure of the first failing level; it holds each one back
+until every lower level has been checked, and failures surface in the
+order of a level-by-level run.  Only the lineages of a NetOutOfRange come
+from a second walk, which checks nothing and runs only once a level has
+failed.
 
 Each copy is classified at most once.  A plain-append child inherits its
 class (and suffix start) from its parent, since the appended steps never
@@ -197,9 +198,10 @@ def _missigned(parity: int, spans: tuple[int, ...], word: str) -> InvariantViola
     return InvariantViolation(f"parity {parity} != sign of {len(spans)} spans in {word!r}")
 
 
-def _fields(node: TreeNode) -> tuple[str, tuple[int, ...], int, int]:
-    """(word, spans, label, parity): a node as its productions read it."""
-    return node.mw.word, node.mw.spans, node.label, node.parity
+def _fields(node: TreeNode, pattern: Pattern) -> tuple[str, tuple[int, ...], int, int, PathClass]:
+    """(word, spans, label, parity, class): a node as its productions read
+    it, classified here, once, when it carries no class."""
+    return node.mw.word, node.mw.spans, node.label, node.parity, node.path_class or classify(node.mw, pattern)
 
 
 def _nodes(parent: TreeNode, level: int, kids: list[_Kid]) -> list[TreeNode]:
@@ -209,10 +211,6 @@ def _nodes(parent: TreeNode, level: int, kids: list[_Kid]) -> list[TreeNode]:
         TreeNode(MarkedWord(word, spans), label, parity, level, lineage + (tag,), pc)
         for word, spans, label, parity, tag, pc in kids
     ]
-
-
-def _node_class(node: TreeNode, pattern: Pattern) -> PathClass:
-    return node.path_class or classify(node.mw, pattern)
 
 
 @cache
@@ -416,31 +414,6 @@ def _jumpj(word: str, spans: tuple[int, ...], label: int, parity: int, pc: PathC
     return out
 
 
-def delta_jump1(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
-    """The k+3 children one level deeper of a delta node with label k:
-    appended children for labels 0..k+1 plus one repaired axis child."""
-    return _nodes(node, node.level + 1, _jump1(*_fields(node), _node_class(node, pattern), pattern))
-
-
-def delta_jumpj(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
-    """The jump-j children of a delta node: 1+k+j-i marked appends (labels
-    k+j-i down to 0) plus, for each y in [k+a, k+j-i-1], one cut-and-pasted
-    child and its longer-falling copies.  Verifies the label multiset.
-    The marked appends carry their class; the cut children are rescanned."""
-    return _nodes(node, node.level + pattern.j, _jumpj(*_fields(node), _node_class(node, pattern), pattern))
-
-
-def gamma_expand(node: TreeNode, pattern: Pattern) -> tuple[list[TreeNode], list[TreeNode]]:
-    """Gamma children: plain appends only, each label exactly once."""
-    pc = _node_class(node, pattern)
-    if pc.kind is not PathKind.GAMMA:
-        raise NotGammaError(node.mw.to_text())
-    return (
-        _nodes(node, node.level + 1, _appends(*_fields(node), pc, pattern, 1, "gup")),
-        _nodes(node, node.level + pattern.j, _appends(*_fields(node), pc, pattern, pattern.j, "gmark")),
-    )
-
-
 def _expand(
     word: str,
     spans: tuple[int, ...],
@@ -452,37 +425,53 @@ def _expand(
     max_level: int | None = None,
 ) -> dict[int, list[_Kid]]:
     """The children of a copy at `level` that carries its class, as checked
-    kids grouped by target level, in production order: the walk's seam,
-    under expand_node."""
+    kids grouped by target level, jump 1 first: the production table, one
+    row per jump, and the walk's seam.  A gamma copy takes each row's plain
+    appends, a delta copy its production.  A row whose level lies past
+    max_level (None: no bound) is never built, so a jump-j family out of
+    range skips its cuts and its label multiset check."""
+    args = word, spans, label, parity, pc, pattern
     gamma = pc.kind is PathKind.GAMMA
     groups = {}
-    up, mark = level + 1, level + pattern.j
-    if max_level is None or up <= max_level:
-        groups[up] = (
-            _appends(word, spans, label, parity, pc, pattern, 1, "gup")
-            if gamma
-            else _jump1(word, spans, label, parity, pc, pattern)
-        )
-    if max_level is None or mark <= max_level:
-        groups[mark] = (
-            _appends(word, spans, label, parity, pc, pattern, pattern.j, "gmark")
-            if gamma
-            else _jumpj(word, spans, label, parity, pc, pattern)
-        )
+    for jump, tag, production in (1, "up", _jump1), (pattern.j, "mark", _jumpj):
+        if max_level is None or level + jump <= max_level:
+            groups[level + jump] = _appends(*args, jump, "g" + tag) if gamma else production(*args)
     return groups
 
 
-def expand_node(node: TreeNode, pattern: Pattern, max_level: int | None = None) -> dict[int, list[TreeNode]]:
-    """The children of one node, grouped by target level, each group sorted
-    by sort_key: by (word, span starts), since a group has one parity.
+def delta_jump1(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
+    """The k+3 children one level deeper of a delta node with label k:
+    appended children for labels 0..k+1 plus one repaired axis child."""
+    return _nodes(node, node.level + 1, _jump1(*_fields(node, pattern), pattern))
 
-    A group whose level lies past max_level (None: no bound) is never
-    built, so a jump-j family out of range skips its cuts and its label
-    multiset check; every family that is built is checked.  A node without
-    a class is classified here, once, and handed on to its productions.
-    """
-    groups = _expand(*_fields(node), node.level, _node_class(node, pattern), pattern, max_level)
-    return {level: sorted(_nodes(node, level, kids), key=lambda nd: nd.sort_key) for level, kids in groups.items()}
+
+def delta_jumpj(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
+    """The jump-j children of a delta node: 1+k+j-i marked appends (labels
+    k+j-i down to 0) plus, for each y in [k+a, k+j-i-1], one cut-and-pasted
+    child and its longer-falling copies.  Verifies the label multiset.
+    The marked appends carry their class; the cut children are rescanned."""
+    return _nodes(node, node.level + pattern.j, _jumpj(*_fields(node, pattern), pattern))
+
+
+def gamma_expand(node: TreeNode, pattern: Pattern) -> tuple[list[TreeNode], list[TreeNode]]:
+    """Gamma children, jump 1 then jump j: plain appends only, each label
+    exactly once."""
+    word, spans, label, parity, pc = _fields(node, pattern)
+    if pc.kind is not PathKind.GAMMA:
+        raise NotGammaError(node.mw.to_text())
+    groups = _expand(word, spans, label, parity, node.level, pc, pattern)
+    up, mark = (_nodes(node, n, kids) for n, kids in groups.items())
+    return up, mark
+
+
+def expand_node(node: TreeNode, pattern: Pattern, max_level: int | None = None) -> dict[int, list[TreeNode]]:
+    """The children of one node, grouped by target level, jump 1 first,
+    each group sorted by sort_key: by (word, span starts), since a group
+    has one parity.  A group past max_level (None: no bound) is never
+    built (see _expand)."""
+    word, spans, label, parity, pc = _fields(node, pattern)
+    groups = _expand(word, spans, label, parity, node.level, pc, pattern, max_level)
+    return {n: sorted(_nodes(node, n, kids), key=lambda nd: nd.sort_key) for n, kids in groups.items()}
 
 
 # --- level engine ------------------------------------------------------------
@@ -547,30 +536,22 @@ def _provenance(lineage: tuple) -> tuple[str, ...]:
 def _walk(
     pattern: Pattern, max_ones: int, keep: Callable[[str], bool] | None = None
 ) -> tuple[list[_LevelTally], tuple[tuple, Exception] | None]:
-    """Walk the tree depth-first from the root down to max_ones rise steps.
+    """Walk the tree depth-first from the root down to max_ones rise steps
+    and return (tallies, failure); see the module docstring.
 
-    The stack holds plain tuples (word, spans, label, parity, level,
-    lineage, class), where a lineage is () at the root and otherwise the
-    linked pair (parent lineage, tag).  Each copy is counted once, in the
-    loop over the kids its parent's _expand made: into its level's copies
-    by word and sign, and kept as a TreeNode, with its lineage spelled out
-    as a provenance tuple, when keep(word) holds; no other node is built.
-    A copy that ends on the axis is DELTA_ON_AXIS and, above the root, an
-    axis return: it is not expanded, and _run reads the returns and the
-    on-axis tally from the level's copies and census.  A copy above the
-    axis is classified when it carries no class, counted in the level's
-    gamma tally when it is gamma, and pushed, to be expanded, when it lies
-    below max_ones.  A copy whose classification or expansion raises grows
-    no subtree, and the walk goes on, since a level-by-level run may meet
-    another failure first: on a lower level, or on a smaller copy of the
-    same level.  The second item returned is the failure such a run meets
-    first, as ((level, 0 for classify or 1 for expand, sort_key),
-    exception), or None.
+    tallies[n] holds level n's walked copies by word and sign, its gamma
+    count, and the nodes of level n for which keep(word) holds, each built
+    once: walked ones, and, behind each kept walked return of level m, the
+    kept nodes of level n - m.  That is every tree node keep accepts,
+    provided keep accepts every factor of a word it accepts.  The stack
+    holds plain tuples (word, spans, label, parity, level, lineage, class),
+    where a lineage is () at the root and otherwise the linked pair (parent
+    lineage, tag).
 
-    With keep, level n then also keeps, where keep holds, each kept walked
-    return of level m (1 <= m < n) put in front of each kept node of level
-    n - m: every tree node keep accepts, provided keep accepts every factor
-    of a word it accepts.
+    A copy whose classification or expansion raises grows no subtree, and
+    the walk goes on: it raises nothing the construction raises.  failure
+    is the one a level-by-level run meets first, as ((level, 0 for classify
+    or 1 for expand, sort_key), exception), or None.
     """
     tallies = [_LevelTally() for _ in range(max_ones + 1)]
     failure = None
@@ -650,44 +631,22 @@ def _lineages(pattern: Pattern, word: str) -> tuple[tuple[str, ...], ...]:
 
 
 def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> RunResult:
-    """Grow the tree up to max_ones rise steps.
+    """Grow the tree up to max_ones rise steps and report each level.
 
-    The tree is walked depth-first and every copy is counted into its
-    level's censuses where its parent's production makes it, so memory
-    holds each level's dense census (C(2n+1, n) cells per list for n
-    ones), the walk's tallies and its stack, not the copies (unless
-    keep_nodes).  Per level the report carries the label census, the word
-    census as a read-only Mapping in ascending word order
-    (census.WordCensus), the surviving words (net 1), the class tallies
-    of every copy, read from the census and the walk's gamma count, and,
-    with keep_nodes, the nodes sorted by (word, spans, parity, lineage).
+    Per level the report carries the label census, the word census as a
+    read-only Mapping in ascending word order (census.WordCensus), the
+    surviving words (net 1), the class tallies of every copy and, with
+    keep_nodes, the nodes sorted by (word, spans, parity, lineage).
+    Memory holds each level's dense census (C(2n+1, n) cells per list for
+    n ones), the walk's tallies and its stack, and not the copies unless
+    keep_nodes; no node is built without it.
 
-    The walk does not expand an axis return: a node q with label 0 at level
-    m >= 1 roots a copy of the whole tree behind q.word (see the module
-    docstring).  Levels are then built in order: level n is its walked
-    part plus, for every m in 1..n-1, the returns of level m (its walked
-    copies of length 2m) each put in front of every copy of level n - m,
-    words, signs and gamma copies alike.
-    With keep_nodes the nodes below the returns are built the same way,
-    each walked return put in front of every node of level n - m, so the
-    walk and the checks are those of a run without keep_nodes.
-
-    Each level is checked before the next is built.  A word whose net lies
-    outside {0, 1} raises NetOutOfRange (the smallest such word, with the
-    lineages of all its copies in node order, from a second walk that
-    checks nothing and keeps only that word's factors); then a
-    classification, and then an expansion, that failed on a node of that
-    level is raised, the smallest node first.  A failure below an axis
-    return repeats one of a lower level, so every failure of the first
-    failing level is met by the walk, and failures surface exactly as a
-    level-by-level run would raise them.
-
-    Each copy is classified at most once: plain-append children inherit
-    their class from the parent, and only copies built by a cut that end
-    above the axis are rescanned.  Children past max_ones are never built;
-    a node is built only for a copy kept with keep_nodes, so a run without
-    it builds none.  Every jump-j family that is built passes its label
-    multiset check.
+    Raises ValueError for max_ones < 0.  Each level is checked before the
+    next: a word whose net lies outside {0, 1} raises NetOutOfRange (the
+    smallest such word, with the lineages of all its copies in node
+    order); then a classification, and then an expansion, that failed on
+    a copy of that level is raised, the smallest copy first.  Failures
+    surface exactly as a level-by-level run would raise them.
     """
     if max_ones < 0:
         raise ValueError("max_ones must be >= 0")
@@ -715,7 +674,7 @@ def _run(pattern: Pattern, max_ones: int, keep: Callable[[str], bool] | None) ->
         if failure is not None and failure[0][0] == n:
             raise failure[1]
         labels = census.labels()
-        on_axis, gamma = sum(labels.get(0, ())), tally.gamma  # a copy is on the axis when its label is 0
+        on_axis, gamma = sum(labels.get(0, ())), tally.gamma
         above = sum(map(sum, labels.values())) - on_axis - gamma
         classes = {PathKind.DELTA_ON_AXIS: on_axis, PathKind.DELTA_ABOVE: above, PathKind.GAMMA: gamma}
         reports.append(

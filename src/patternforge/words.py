@@ -55,6 +55,8 @@ class Pattern:
     i: int
 
     def __post_init__(self) -> None:
+        if not all(type(n) is int for n in (self.j, self.i)):
+            raise ValueError(f"j and i must be int, got j={self.j!r} i={self.i!r}")
         if not 0 < self.i < self.j:
             raise ValueError(f"need 0 < i < j, got j={self.j} i={self.i}")
 

@@ -213,6 +213,34 @@ class TestGammaExpand:
             gamma_expand(node_for("110"), P21)
 
 
+class TestProvenanceTags:
+    """Each production family's tags, as `patternforge trace` prints them."""
+
+    @pytest.mark.parametrize(
+        "node,pattern,want",
+        [
+            (
+                node_for(""),
+                P41,
+                {
+                    1: {"up:0", "up:1", "up:axis"},
+                    4: {f"mark:{y}" for y in range(4)}
+                    | {"mark:cut0", "mark:cut0+1", "mark:cut0+2", "mark:cut1", "mark:cut1+1", "mark:cut2"},
+                },
+            ),
+            (
+                node_for("01110", (1,)),
+                P31,
+                {4: {f"gup:{y}" for y in range(3)}, 6: {f"gmark:{y}" for y in range(4)}},
+            ),
+        ],
+        ids=["delta-root", "gamma"],
+    )
+    def test_every_family_tags_its_children(self, node, pattern, want):
+        groups = expand_node(node, pattern)
+        assert {level: {kid.provenance[-1] for kid in kids} for level, kids in groups.items()} == want
+
+
 class TestProductionLaws:
     """Child-count laws checked against live nodes from real runs."""
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from patternforge.oracle import count_avoiding
 from patternforge.succession import (
     Affine,
     Atom,
@@ -21,11 +22,13 @@ from patternforge.succession import (
     expand_census,
     parse_rule,
 )
+from patternforge.words import Pattern
 
 CATALAN_MARKED = "axiom: 2\njump 1: (2..k+1), (k)\njump 1: (k)~\n"
 CATALAN_PLAIN = "axiom: 2\njump 1: (2..k+1)\n"
 CATALAN = [1, 2, 5, 14, 42, 132]
-RULE_FILES = sorted((Path(__file__).resolve().parents[1] / "rules").glob("*.rule"))
+RULES_DIR = Path(__file__).resolve().parents[1] / "rules"
+RULE_FILES = sorted(RULES_DIR.glob("*.rule"))
 # the j - i = 1 label rule, whose net census is the (j, j-1) tree's
 LABEL_RULE = "axiom: 0\njump 1: (0..k+1), (0)\njump {j}: (0..k+1)~, (0)~\n"
 
@@ -179,6 +182,17 @@ class TestCensusEngine:
     def test_jump_two_skips_levels(self):
         censuses = expand_census(parse_rule("axiom: 0\njump 2: (k)\n"), 5)
         assert [c.net_total() for c in censuses] == [1, 0, 1, 0, 1, 0]
+
+    @pytest.mark.parametrize("j", [2, 3, 4, 5])
+    def test_committed_label_rule_nets_the_avoiding_words(self, j):
+        """rules/p-j-i1-J.rule nets, at level n and label k, the words with n
+        ones and n - k zeros that avoid 1^J 0^(J-1), and nothing elsewhere."""
+        pattern = Pattern(j, j - 1)
+        for census in expand_census(parse_rule((RULES_DIR / f"p-j-i1-{j}.rule").read_text()), 60):
+            n = census.level
+            want = {k: count_avoiding(pattern, n, n - k) for k in range(n + 1)}
+            assert {k: census.net(k) for k in want} == want, n
+            assert [k for k in census.counts if k not in want and census.net(k)] == [], n
 
     def test_expansion_surfaces_negative_labels(self):
         with pytest.raises(NegativeLabel):

@@ -41,7 +41,9 @@ class TestPattern:
         assert Pattern(5, 2).factor == "1111100"
         assert Pattern(5, 2).length == 7
 
-    @pytest.mark.parametrize("j,i", [(1, 1), (2, 2), (2, 0), (0, 1), (1, 2), (-1, -2)])
+    @pytest.mark.parametrize(
+        "j,i", [(1, 1), (2, 2), (2, 0), (0, 1), (1, 2), (-1, -2), (2.5, 1), (2.0, 1.0), ("3", "1"), (3, True)]
+    )
     def test_rejects_degenerate_shapes(self, j, i):
         with pytest.raises(ValueError):
             Pattern(j, i)
