@@ -690,9 +690,18 @@ def _run(pattern: Pattern, max_ones: int, keep: Callable[[str], bool] | None) ->
     return RunResult(pattern, max_ones, reports)
 
 
+def _check_binary(word: str) -> None:
+    """Raise ValueError unless word is over 0/1: no tree copy carries any
+    other word, and an empty answer would read as a word with no copy."""
+    if set(word) - {"0", "1"}:
+        raise ValueError(f"word must be over 0/1, got {word!r}")
+
+
 def collect_copies(result: RunResult, word: str) -> list[TreeNode]:
     """Every tree node carrying `word` at its level, in node order (sort_key,
-    then lineage).  The run must have been made with keep_nodes=True."""
+    then lineage).  The run must have been made with keep_nodes=True, and
+    word must be over 0/1 (ValueError otherwise)."""
+    _check_binary(word)
     level = word.count("1")
     if level > result.max_ones:
         raise ValueError(f"word has {level} rises but the run stops at {result.max_ones}")
@@ -710,5 +719,6 @@ def copies_of(pattern: Pattern, word: str) -> list[TreeNode]:
     The run keeps only the nodes whose word is a factor of `word`: the
     copies below an axis return are grown from those of the return and of
     a suffix, so memory holds the walk's censuses and those factors, not
-    every node."""
+    every node.  A word not over 0/1 raises ValueError before the walk."""
+    _check_binary(word)
     return collect_copies(_run(pattern, word.count("1"), lambda w: w in word), word)

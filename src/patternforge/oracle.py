@@ -10,8 +10,12 @@ Two routes that share no code with the tree construction:
   is built.  The budget guard still counts the candidates, C(n+m, m)
   summed over the fall counts m <= n, so the same requests are refused as
   by a generate-and-filter run;
-- a failure-function automaton driving an exact dynamic program over
-  (ones, zeros, state) with Python integers.  One sweep over the zeros
+- an exact dynamic program over (ones, zeros, state) with Python integers,
+  driven by the factor's match automaton.  Its transitions come straight
+  from their definition: state s has matched the first s letters of the
+  factor, and reading c leads to the longest factor prefix that ends
+  factor[:s] + c.  The sweep steps once per zero count: a fall from the
+  rows of the zero count before, then a rise within the new rows.  It
   yields the counts for every fall count at once; that row is memoised
   per (pattern, ones), so the calls for the labels of one level share it.
 """
@@ -56,9 +60,6 @@ class FactorAutomaton:
     def dead(self) -> int:
         return len(self.factor)
 
-    def step(self, state: int, bit: str) -> int:
-        return self.transitions[state][1 if bit == "1" else 0]
-
     def scan(self, word: str) -> bool:
         """True when word avoids the factor."""
         state = 0
@@ -71,26 +72,17 @@ class FactorAutomaton:
 
 
 def build_automaton(pattern: Pattern) -> FactorAutomaton:
+    """State s has matched the first s letters of the factor.  Reading c
+    leads to the length of the longest factor prefix that ends
+    factor[:s] + c; the whole factor is the absorbing dead state."""
     f = pattern.factor
-    n = len(f)
-    # classic prefix-function table
-    pi = [0] * n
-    for t in range(1, n):
-        q = pi[t - 1]
-        while q and f[t] != f[q]:
-            q = pi[q - 1]
-        pi[t] = q + 1 if f[t] == f[q] else 0
 
     def delta(s: int, c: str) -> int:
-        while True:
-            if s < n and f[s] == c:
-                return s + 1
-            if s == 0:
-                return 0
-            s = pi[s - 1]
+        read = f[:s] + c
+        return max(k for k in range(s + 2) if read.endswith(f[:k]))
 
-    rows = [(delta(s, "0"), delta(s, "1")) for s in range(n)]
-    rows.append((n, n))  # absorbing
+    rows = [(delta(s, "0"), delta(s, "1")) for s in range(len(f))]
+    rows.append((len(f), len(f)))  # absorbing
     return FactorAutomaton(f, tuple(rows))
 
 
@@ -153,37 +145,32 @@ def brute_force(pattern: Pattern, ones: int, budget: int = DEFAULT_BUDGET) -> li
 @lru_cache(maxsize=256)
 def _counts_by_zeros(pattern: Pattern, ones: int, width: int) -> tuple[int, ...]:
     """count_avoiding(pattern, ones, z) for every z in 0..width, from one
-    sweep of the DP over the zeros."""
+    sweep of the DP over the zeros.  rows[o][s] counts the avoiding words
+    with o ones and the current zero count that end in live state s.  The
+    empty word seeds zero count 0; each later zero count is a fall from the
+    rows of the one before, and every zero count then rises row by row."""
     aut = build_automaton(pattern)
-    dead = aut.dead
-    live = dead  # live states 0..dead-1
-    # dp[o][s] for the current zero count; zeros iterate in the outer loop
-    dp = [[0] * live for _ in range(ones + 1)]
-    dp[0][0] = 1
-    for o in range(ones):
-        for s, c in enumerate(dp[o]):
+    moves, dead = aut.transitions, aut.dead  # live states 0..dead-1
+
+    def push(source: list[int], target: list[int], bit: int) -> None:
+        for s, c in enumerate(source):
             if c:
-                s2 = aut.transitions[s][1]
+                s2 = moves[s][bit]
                 if s2 != dead:
-                    dp[o + 1][s2] += c
-    by_zeros = [sum(dp[ones])]
-    for _z in range(width):
-        nxt = [[0] * live for _ in range(ones + 1)]
-        for o in range(ones + 1):
-            row = dp[o]
-            for s, c in enumerate(row):
-                if c:
-                    s2 = aut.transitions[s][0]
-                    if s2 != dead:
-                        nxt[o][s2] += c
-            if o < ones:
-                for s, c in enumerate(nxt[o]):
-                    if c:
-                        s2 = aut.transitions[s][1]
-                        if s2 != dead:
-                            nxt[o + 1][s2] += c
-        dp = nxt
-        by_zeros.append(sum(dp[ones]))
+                    target[s2] += c
+
+    by_zeros = []
+    for z in range(width + 1):
+        new = [[0] * dead for _ in range(ones + 1)]
+        if z:
+            for old_row, new_row in zip(rows, new):
+                push(old_row, new_row, 0)
+        else:
+            new[0][0] = 1  # the empty word
+        for o in range(ones):
+            push(new[o], new[o + 1], 1)
+        rows = new
+        by_zeros.append(sum(rows[ones]))
     return tuple(by_zeros)
 
 

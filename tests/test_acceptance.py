@@ -2,7 +2,7 @@
 
 One test per criterion row; each row appends a PASS/FAIL line to the summary
 block printed at the end of the session (see conftest).  Rows that cannot
-pass — the level engine provably cannot reach certain minus copies when
+pass — the level engine does not make certain minus copies when
 j - i >= 2 — assert their exact frozen failure signature first, log FAIL,
 then xfail, so that any behavior change (regression or fix) turns the row
 into a hard test failure instead of silently shifting.
@@ -38,8 +38,8 @@ FIRST_DIVERGENCE = {
     (5, 2): "level 6: extra survivor '00101111100'",
 }
 INCOMPLETENESS_NOTE = (
-    "the production rules cannot reach minus copies that need a fall inserted "
-    "at a non-rightmost eligible axis point; see README, 'Known limitation'"
+    "the tree misses minus copies that mark a word's single occurrence, which "
+    "starts below the axis; see README, 'Verification status and a known limitation'"
 )
 
 

@@ -6,11 +6,19 @@ import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CLEAN_PATTERNS, DIFFERENTIAL_PATTERNS, cached_run, drop_last_mark_child, expected_word_census
+from conftest import (
+    CLEAN_PATTERNS,
+    DIFFERENTIAL_PATTERNS,
+    cached_run,
+    cluster_census,
+    drop_last_mark_child,
+    expected_word_census,
+)
 from patternforge.construction import (
     MultiplicityMismatch,
     NetOutOfRange,
@@ -31,7 +39,7 @@ from patternforge.construction import (
 )
 from patternforge import construction
 from patternforge.oracle import brute_force
-from patternforge.words import MarkedWord, PathKind, Pattern, classify, height
+from patternforge.words import MarkedWord, PathKind, Pattern, classify, height, occurrences
 
 P21 = Pattern(2, 1)
 P31 = Pattern(3, 1)
@@ -845,10 +853,89 @@ class TestCollectCopies:
         with pytest.raises(ValueError, match="keep_nodes=True"):
             collect_copies(cached_run(2, 1, 4), "110")
 
+    @pytest.mark.parametrize("word", ["1a1", "abc", "110 ", "1x", "１１0"])
+    def test_a_word_not_over_0_1_is_refused(self, word):
+        """Not an empty list, which would read as a binary word with no copy."""
+        with pytest.raises(ValueError, match=re.escape(repr(word))):
+            collect_copies(cached_run(2, 1, 4, keep_nodes=True), word)
+
+    @pytest.mark.parametrize("word", ["1a1", "abc", "110 ", "1x"])
+    def test_copies_of_refuses_a_word_not_over_0_1_before_any_walk(self, monkeypatch, word):
+        def no_walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(construction, "_walk", no_walk)
+        with pytest.raises(ValueError, match=re.escape(repr(word))):
+            copies_of(P21, word)
+
     def test_copy_counts_double_per_occurrence(self):
         for j, i in CLEAN_PATTERNS:
             for rep in cached_run(j, i, 8).levels:
                 assert rep.word_census == expected_word_census(Pattern(j, i), rep.level), (j, i, rep.level)
+
+
+def level_words(ones: int) -> list[str]:
+    """Every word with `ones` ones and at most as many zeros."""
+    return [w for n in range(ones, 2 * ones + 1) for w in map("".join, product("01", repeat=n)) if w.count("1") == ones]
+
+
+def cluster_labels(j: int, i: int, n: int) -> dict[int, tuple[int, int]]:
+    """The (plus, minus) copies every label of level n must carry."""
+    return {n - z: cluster_census(j, i, n, z) for z in range(n + 1)}
+
+
+class TestClusterLabelCensus:
+    """The tree's exact (plus, minus) copies per label, against the cluster
+    method, which shares no code with the tree or the oracles."""
+
+    @pytest.mark.parametrize("j,i,max_ones", [(2, 1, 9), (3, 2, 9), (4, 3, 8)])
+    def test_every_copy_is_made_when_j_minus_i_is_one(self, j, i, max_ones):
+        for rep in cached_run(j, i, max_ones).levels:
+            assert rep.label_census == cluster_labels(j, i, rep.level), rep.level
+
+    # per level from 0: the cluster method's minus copies less the tree's
+    MINUS_SHORTFALL = {
+        (3, 1): [0, 0, 0, 0, 0, 2, 16],
+        (4, 1): [0, 0, 0, 0, 0, 2, 19, 119, 635],
+        (4, 2): [0, 0, 0, 0, 0, 0, 2, 16, 94],
+        (5, 2): [0, 0, 0, 0, 0, 0, 2, 19, 119],
+    }
+
+    @pytest.mark.parametrize("ji", list(MINUS_SHORTFALL), ids=lambda ji: f"{ji[0]}-{ji[1]}")
+    def test_only_minus_copies_go_missing_when_j_minus_i_is_two_or_more(self, ji):
+        """Every plus copy is made; the minus copies that are not are
+        pinned as counts, so a fix or a regression both fail here."""
+        shortfall = []
+        for rep in cached_run(*ji, len(self.MINUS_SHORTFALL[ji]) - 1).levels:
+            want = cluster_labels(*ji, rep.level)
+            assert rep.label_census.keys() <= want.keys(), rep.level
+            assert {k: rep.label_census.get(k, (0, 0))[0] for k in want} == {k: p for k, (p, _) in want.items()}
+            shortfall.append(sum(m for _, m in want.values()) - sum(m for _, m in rep.label_census.values()))
+        assert shortfall == self.MINUS_SHORTFALL[ji]
+
+    @pytest.mark.parametrize("j,i", DIFFERENTIAL_PATTERNS)
+    def test_every_missing_copy_marks_a_single_occurrence_below_the_axis(self, j, i):
+        """Copy by copy: a word with occurrences C needs one copy per subset S
+        of C, with sign (-1)^|S|.  The tree makes no other copy, and each one
+        it misses is the minus copy of a word with a single occurrence that
+        starts at ordinate -1 ... -(j-i-1), so none when j - i = 1."""
+        pattern = Pattern(j, i)
+        result = cached_run(j, i, 6 if (j, i) == (3, 1) else 7, keep_nodes=True)
+        missing = 0
+        for rep in result.levels:
+            made = Counter((nd.mw.word, nd.mw.spans, nd.parity) for nd in rep.nodes)
+            due = Counter()
+            for word in level_words(rep.level):
+                found = occurrences(word, pattern)
+                for r in range(len(found) + 1):
+                    due.update((word, spans, (-1) ** r) for spans in combinations(found, r))
+            assert not made - due, rep.level
+            for word, spans, parity in due - made:
+                (start,) = spans
+                assert parity == -1 and occurrences(word, pattern) == [start], word
+                assert -(j - i) < height(word[:start]) < 0, word
+                missing += 1
+        assert missing == {(3, 1): 18, (4, 1): 140, (4, 2): 18, (5, 2): 21}.get((j, i), 0)
 
 
 class TestCutGeometryKnobs:

@@ -10,7 +10,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import DIFFERENTIAL_PATTERNS
+from conftest import DIFFERENTIAL_PATTERNS, cluster_census
 from patternforge import oracle
 from patternforge.oracle import (
     BudgetExceeded,
@@ -37,8 +37,7 @@ class TestAutomaton:
 
     def test_dead_state_absorbs(self):
         aut = build_automaton(P31)
-        assert aut.step(aut.dead, "0") == aut.dead
-        assert aut.step(aut.dead, "1") == aut.dead
+        assert aut.transitions[aut.dead] == (aut.dead, aut.dead)
 
     def test_scan_goldens(self):
         aut = build_automaton(P21)
@@ -237,6 +236,26 @@ class TestCountAvoiding:
             for m in range(n + 1):
                 assert count_avoiding(pattern, n, m) == by_zeros[m]
             assert level_count(pattern, n) == len(words)
+
+    @pytest.mark.parametrize("ji", DIFFERENTIAL_PATTERNS + [(5, 1)], ids=lambda ji: f"{ji[0]}-{ji[1]}")
+    def test_equals_the_cluster_method(self, ji):
+        """A third route that shares no code with the DP: plus - minus of
+        the cluster method, zeros > ones included."""
+        pattern = Pattern(*ji)
+        for n in range(25):
+            for z in range(25):
+                plus, minus = cluster_census(*ji, n, z)
+                assert count_avoiding(pattern, n, z) == plus - minus, (ji, n, z)
+
+    @pytest.mark.parametrize("ji", [(2, 1), (3, 2), (4, 3)], ids=lambda ji: f"{ji[0]}-{ji[1]}")
+    def test_equals_the_cluster_method_to_40_ones(self, ji):
+        """The range the rule censuses are checked over: every fall count
+        of every level to 40 ones."""
+        pattern = Pattern(*ji)
+        for n in range(41):
+            for z in range(n + 1):
+                plus, minus = cluster_census(*ji, n, z)
+                assert count_avoiding(pattern, n, z) == plus - minus, (ji, n, z)
 
     def test_longer_factors_leave_more_words(self):
         for n in range(7):

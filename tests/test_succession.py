@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import cluster_census
 from patternforge.oracle import count_avoiding
 from patternforge.succession import (
     Affine,
@@ -193,6 +194,15 @@ class TestCensusEngine:
             want = {k: count_avoiding(pattern, n, n - k) for k in range(n + 1)}
             assert {k: census.net(k) for k in want} == want, n
             assert [k for k in census.counts if k not in want and census.net(k)] == [], n
+
+    @pytest.mark.parametrize("j", [2, 3, 4, 5])
+    def test_committed_label_rule_carries_the_cluster_census(self, j):
+        """Not only the nets: at level n, label k carries exactly the plus and
+        minus copies the cluster method gives the words with n ones and n - k
+        zeros, and no other label carries a copy."""
+        for census in expand_census(parse_rule((RULES_DIR / f"p-j-i1-{j}.rule").read_text()), 120):
+            n = census.level
+            assert census.counts == {k: cluster_census(j, j - 1, n, n - k) for k in range(n + 1)}, n
 
     def test_expansion_surfaces_negative_labels(self):
         with pytest.raises(NegativeLabel):
