@@ -2,10 +2,12 @@
 
 The words with n ones and z zeros, in lexicographic order ('0' before
 '1'), are ranked 0 .. C(n+z, z) - 1: the combinatorial number system
-(Knuth, TAOCP 7.2.1.3).  The census of level n holds, for each zero count
-z in 0..n, two lists indexed by that rank: the copies of each word (plus
-+ minus) and its net (plus - minus).  That is C(2n+1, n) cells per list,
-however many copies they count.
+(Knuth, TAOCP 7.2.1.3).  A word's rank is a sum of binomials, one per
+1: rank_prefix and unrank read them from one table, _SKIPS, grown on
+demand to the longest word ranked.  The census of level n holds, for each
+zero count z in 0..n, two lists indexed by that rank: the copies of each
+word (plus + minus) and its net (plus - minus).  That is C(2n+1, n) cells
+per list, however many copies they count.
 
 The words of class (n, z) that begin with a fixed prefix q fill one block
 of ranks, from rank_prefix(q, n, z) on, in the order of their suffixes'
@@ -26,25 +28,40 @@ from operator import add, eq, mul
 __all__ = ["WordCensus"]
 
 
+# _SKIPS[left][zeros] = C(left - 1, zeros - 1), 0 for zeros = 0: with
+# `left` letters and `zeros` zeros still to place, the number of words
+# that place a 0 next, which a 1 there skips.  Grown on demand by _skips.
+_SKIPS: list[list[int]] = []
+
+
+def _skips(left: int) -> list[list[int]]:
+    """_SKIPS, grown to hold every row up to `left` letters."""
+    for n in range(len(_SKIPS), left + 1):
+        _SKIPS.append([0] + [comb(n - 1, z - 1) for z in range(1, n + 1)])
+    return _SKIPS
+
+
 def rank_prefix(prefix: str, ones: int, zeros: int) -> int:
     """The first rank, among the words with `ones` ones and `zeros` zeros,
     of those that begin with `prefix`; for a whole word, its own rank."""
+    left = ones + zeros
+    skips = _SKIPS if left < len(_SKIPS) else _skips(left)
     rank = 0
     for bit in prefix:
         if bit == "1":
-            if zeros:  # the words with a 0 here come first
-                rank += comb(ones + zeros - 1, zeros - 1)
-            ones -= 1
+            rank += skips[left][zeros]  # the words with a 0 here come first
         else:
             zeros -= 1
+        left -= 1
     return rank
 
 
 def unrank(rank: int, ones: int, zeros: int) -> str:
     """The word of that rank among the words with `ones` ones and `zeros` zeros."""
+    skips = _skips(ones + zeros)
     bits = []
     while ones and zeros:
-        first_one = comb(ones + zeros - 1, zeros - 1)  # ranks of the words with a 0 here
+        first_one = skips[ones + zeros][zeros]  # ranks of the words with a 0 here
         if rank < first_one:
             bits.append("0")
             zeros -= 1

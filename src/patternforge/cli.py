@@ -29,7 +29,7 @@ import re
 import sys
 
 from .construction import copies_of, run_levels
-from .oracle import DEFAULT_BUDGET, BudgetExceeded, _check_levels, count_avoiding
+from .oracle import DEFAULT_BUDGET, BudgetExceeded, count_avoiding
 from .succession import NegativeLabel, RuleParseError, expand_census, parse_rule
 from .verify import verify_pattern
 from .words import InvariantViolation, MarkedWord, Pattern, profile
@@ -76,8 +76,7 @@ def _add_budget_flag(sub: argparse.ArgumentParser) -> None:
 
 def cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     pattern = _pattern(parser, args)
-    _check_levels(args.max_ones, args.budget)  # refuse before any tree is built
-    result = run_levels(pattern, args.max_ones)
+    result = run_levels(pattern, args.max_ones, budget=args.budget)  # refuses before any tree is built
     for rep in result.levels:
         for word in rep.survivors:
             p, m = rep.word_census[word]
@@ -135,8 +134,8 @@ def cmd_trace(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     word = args.word
     if set(word) - {"0", "1"}:
         parser.error(f"word must be over 0/1, got {word!r}")
-    _check_levels(word.count("1"), args.budget)  # refuse before any tree is built
-    for node in copies_of(pattern, word):  # raises what a run to the word's level raises
+    # refuses before any tree is built, and raises what a run to the word's level raises
+    for node in copies_of(pattern, word, budget=args.budget):
         sign = "+" if node.parity > 0 else "-"
         spans = ",".join(str(s) for s in node.mw.spans) or "-"
         prov = ">".join(node.provenance) or "-"

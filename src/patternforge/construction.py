@@ -29,6 +29,24 @@ strictly inside a span, z = t when nothing else qualifies.  The result
 v + fall + phi[z:] + phi[:z] ends one ordinate lower.  The slack a reads h
 and h* from the same phi.
 
+The walk carries, with each copy on its stack, a state of its phi: (z
+ordinate, z position, h, h*), where z is the highest (then leftmost) point
+of phi not strictly inside a span.  Under the default geometry that is the
+cut's z: t is such a point, so the highest of them is on or above the
+line through t.  A plain append extends its
+parent's state in O(1) (see _tail): the tail's one candidate z is the
+point right after the appended rise (jump 1) or the new span (jump j),
+and the old z wins a tie; a jump-1 tail with a fall adds an unmarked peak
+at k+1, a jump-j tail a marked peak at k+j; a parent on the axis starts a
+fresh phi at its endpoint, with z at (0, len(word)).  So a family's cuts
+take z from its state and the slack reads h and h* from its parent's,
+with no profile, and every check on t, z and the cut word still runs.
+_cut still scans phi when a cut-geometry knob is moved and when no state
+is carried: the node API (expand_node, delta_jump*, gamma_expand,
+cut_and_paste) carries none.  A cut child above the axis is rescanned:
+classify gives its class and one profile of its phi its state
+(_suffix_state), which its subtree then carries.
+
 Each plus/minus copy of a word corresponds to one subset of its factor
 occurrences; per level, net = plus - minus is 1 for avoiding words and 0
 for all others, which run_levels enforces.
@@ -98,6 +116,7 @@ from operator import ge, gt
 from typing import Callable
 
 from .census import build_census
+from .oracle import DEFAULT_BUDGET, _check_levels
 from .words import (
     InvariantViolation,
     MarkedWord,
@@ -181,9 +200,17 @@ class TreeNode:
         return (self.mw.word, self.mw.spans, self.parity)
 
 
+# The classes the productions and the walk test a copy against, bound once:
+# reading an Enum member off its class costs a lookup each time.
+_GAMMA, _ON_AXIS, _ABOVE = PathKind.GAMMA, PathKind.DELTA_ON_AXIS, PathKind.DELTA_ABOVE
+
+# What the walk carries of a copy's axis suffix, the part from its class's
+# suffix start (see the module docstring): (z ordinate, z position, h, h*).
+_State = tuple[int, int, int, int | None]
+
 # A checked child, before any node is built for it:
-# (word, spans, label, parity, tag, path_class).
-_Kid = tuple[str, tuple[int, ...], int, int, str, PathClass | None]
+# (word, spans, label, parity, tag, path_class, state).
+_Kid = tuple[str, tuple[int, ...], int, int, str, PathClass | None, _State | None]
 
 
 def _text(word: str, spans: tuple[int, ...]) -> str:
@@ -209,7 +236,7 @@ def _nodes(parent: TreeNode, level: int, kids: list[_Kid]) -> list[TreeNode]:
     lineage = parent.provenance
     return [
         TreeNode(MarkedWord(word, spans), label, parity, level, lineage + (tag,), pc)
-        for word, spans, label, parity, tag, pc in kids
+        for word, spans, label, parity, tag, pc, _ in kids
     ]
 
 
@@ -217,7 +244,7 @@ def _nodes(parent: TreeNode, level: int, kids: list[_Kid]) -> list[TreeNode]:
 def _on_axis(start: int) -> PathClass:
     """The class of a copy that ends on the axis, whose rightmost eligible
     axis point before its endpoint is start: one shared object per start."""
-    return PathClass(PathKind.DELTA_ON_AXIS, start)
+    return PathClass(_ON_AXIS, start)
 
 
 def _append_start(word: str, label: int, pc: PathClass) -> int:
@@ -226,11 +253,64 @@ def _append_start(word: str, label: int, pc: PathClass) -> int:
     return len(word) if label == 0 else pc.suffix_start
 
 
+def _tail(
+    word: str, label: int, state: _State | None, pattern: Pattern, jump: int
+) -> tuple[_State | None, _State | None]:
+    """The carried states of a plain-append family of a copy with that
+    state, as (its top child's, every other child's), both None when the
+    copy carries none.  A copy on the axis starts a fresh suffix at its
+    endpoint.  Every child, and so the family's grown words, shares one z.
+    The tail's one candidate z is the point right after the appended rise
+    (jump 1) or the new span (jump j), and the old z wins a tie.  A jump-1
+    tail with a fall adds an unmarked peak at k+1, a jump-j tail a marked
+    peak at k+j."""
+    if state is None:
+        return None, None
+    zo, zp, h, hstar = (0, len(word), 0, None) if label == 0 else state
+    if jump == 1:
+        point = label + 1, len(word) + 1
+    else:
+        point = label + pattern.j - pattern.i, len(word) + pattern.length
+        hstar = label + pattern.j if hstar is None else max(hstar, label + pattern.j)
+    if point[0] > zo:
+        zo, zp = point
+    top = zo, zp, h, hstar
+    return top, ((zo, zp, max(h, label + 1), hstar) if jump == 1 else top)
+
+
+def _suffix_state(word: str, spans: tuple[int, ...], t0: int, pattern: Pattern) -> _State:
+    """The state of the suffix of a marked word from the axis point t0, read
+    off one profile: z is its highest (then leftmost) point not strictly
+    inside a span, h its highest unmarked peak (0 with none) and h* its
+    highest marked peak (None with no span)."""
+    phi = word[t0:]
+    prof = profile(phi)
+    local = [s - t0 for s in spans if s >= t0]
+    inside = {p for s in local for p in range(s + 1, s + pattern.length)}
+    z = max((p for p in range(len(prof)) if p not in inside), key=prof.__getitem__)  # max keeps the leftmost
+    peaks = list(map(gt, phi, phi[1:]))  # peaks[q - 1]: a rise then a fall meet at q
+    marked = [s + pattern.j for s in local]
+    for q in marked:
+        peaks[q - 1] = False
+    h = max(compress(prof[1:], peaks), default=0)
+    hstar = max(map(prof.__getitem__, marked), default=None)
+    return prof[z], t0 + z, h, hstar
+
+
 def _appends(
-    word: str, spans: tuple[int, ...], label: int, parity: int, pc: PathClass, pattern: Pattern, jump: int, tag: str
+    word: str,
+    spans: tuple[int, ...],
+    label: int,
+    parity: int,
+    pc: PathClass,
+    pattern: Pattern,
+    jump: int,
+    tag: str,
+    family: tuple[_State | None, _State | None] = (None, None),
 ) -> list[_Kid]:
     """Plain appends of one rise (jump 1) or the marked factor (jump j) and
-    then falls, one child per label from 0 up, each carrying its class.
+    then falls, one child per label from 0 up, each carrying its class and
+    its state from family, what _tail gives the copy.
 
     The appended steps stay strictly above the axis until the endpoint, so
     the label-0 child ends on the axis behind the parent's suffix start (or
@@ -239,45 +319,47 @@ def _appends(
     endpoint when the parent ends on the axis.  A new span peaks at k + j.
     Every child is checked against its label and its sign.
     """
+    top_state, fallen = family
     if jump == 1:
         head, top = word + "1", label + 1
     else:
         head, top, spans, parity = word + pattern.factor, label + pattern.j - pattern.i, spans + (len(word),), -parity
     sign = 1 if len(spans) % 2 == 0 else -1
     on_axis = _on_axis(_append_start(word, label, pc))
-    above = PathClass(PathKind.DELTA_ABOVE, len(word)) if label == 0 else pc
+    above = PathClass(_ABOVE, len(word)) if label == 0 else pc
     out = []
-    for y in range(top + 1):
+    for y, child_tag in enumerate(_tags(tag, top)):
         child = head + "0" * (top - y)
         if height(child) != y:
             raise _mislabelled(y, child)
         if parity != sign:
             raise _missigned(parity, spans, child)
-        out.append((child, spans, y, parity, f"{tag}:{y}", above if y else on_axis))
+        out.append((child, spans, y, parity, child_tag, above if y else on_axis, fallen if y < top else top_state))
     return out
+
+
+@cache
+def _tags(tag: str, top: int) -> tuple[str, ...]:
+    """The tags of a plain-append family up to label top, one per label."""
+    return tuple(f"{tag}:{y}" for y in range(top + 1))
 
 
 # --- slack parameter a and cut-and-paste ------------------------------------
 
 
-def _ladder(word: str, spans: tuple[int, ...], label: int, pc: PathClass, pattern: Pattern) -> tuple[int, int | None]:
+def _ladder(
+    word: str, spans: tuple[int, ...], label: int, pc: PathClass, pattern: Pattern, state: _State | None = None
+) -> tuple[int, int | None]:
     """(a, pin): the slack a of a delta word, and the ordinate its jump-j
     cuts must put z at, None when z must equal t.  They follow from the
     highest unmarked peak h (0 with none) and the highest marked peak h*
-    (None with no span) of the suffix from pc.suffix_start."""
-    if pc.kind is PathKind.GAMMA:
+    (None with no span) of the suffix from pc.suffix_start: the carried
+    state's, or else read off that suffix."""
+    if pc.kind is _GAMMA:
         raise NotDeltaError(_text(word, spans))
-    if pc.kind is PathKind.DELTA_ON_AXIS:
+    if pc.kind is _ON_AXIS:
         return 0, None
-    t0 = pc.suffix_start
-    phi = word[t0:]
-    prof = profile(phi)
-    peaks = list(map(gt, phi, phi[1:]))  # peaks[q - 1]: a rise then a fall meet at q
-    marked = [s - t0 + pattern.j for s in spans if s >= t0]
-    for q in marked:
-        peaks[q - 1] = False
-    h = max(compress(prof[1:], peaks), default=0)
-    hstar = max(map(prof.__getitem__, marked), default=None)
+    h, hstar = (state or _suffix_state(word, spans, pc.suffix_start, pattern))[2:]
     route_marked = hstar is not None and hstar - h > pattern.i
     top = hstar - pattern.i if route_marked else h
     ji = pattern.j - pattern.i
@@ -304,38 +386,51 @@ _LINE_SLOPE = 0
 _HIGHEST_FIRST = True
 
 
-def _cut(word: str, spans: tuple[int, ...], pattern: Pattern, t0: int) -> tuple[str, tuple[int, ...], int, int, int]:
+def _cut(
+    word: str, spans: tuple[int, ...], pattern: Pattern, t0: int, state: _State | None = None
+) -> tuple[str, tuple[int, ...], int, int, int]:
     """Cut-and-paste the suffix of a marked word from the axis point t0: the
     cut word and its spans, then t, z (both positions in word) and z's
-    ordinate.  spans are sorted, as every span tuple of the tree is."""
+    ordinate.  spans are sorted, as every span tuple of the tree is.
+
+    Under the default geometry z is the carried state's point, when a
+    state is carried: t, checked not to lie strictly inside a span, is a
+    candidate, so the highest candidate on or above the line through t is
+    the highest of the whole suffix.  Otherwise z comes from a scan of the
+    suffix's profile."""
     local = [s - t0 for s in spans if s >= t0]
     if not local:
         raise NoMarkedPoint(_text(word, spans))
     phi = word[t0:]
     length = pattern.length
-    prof = profile(phi)
-    n = len(prof)
-    # the profile with every point strictly inside a span sunk to a floor
-    # under any line through a point of phi
-    sunk = prof[:]
-    floor = -(abs(_LINE_SLOPE) + 1) * n - 1
-    for s in local:
-        sunk[s + 1 : s + length] = [floor] * (length - 1)
     t = local[-1] + length  # first point right of the rightmost marked peak's span
-    if sunk[t] == floor:
+    # only a span that starts right of the last one can hold t: none, when sorted
+    if max(local) > local[-1] and any(s < t < s + length for s in local):
         raise SpanSplitError(f"t at {t0 + t} inside a span of {_text(word, spans)}")
-    # the line through t, one ordinate per point, and the points on or above
-    # it, none inside a span; t is one
-    line = accumulate(repeat(_LINE_SLOPE, n - 1), initial=prof[t] - _LINE_SLOPE * t)
-    above = compress(range(n), map(ge, sunk, line))
-    z = max(above, key=prof.__getitem__) if _HIGHEST_FIRST else next(above)  # max keeps the leftmost
+    if state is not None and _LINE_SLOPE == 0 and _HIGHEST_FIRST:
+        z_ordinate, z = state[0], state[1] - t0
+    else:
+        prof = profile(phi)
+        n = len(prof)
+        # the profile with every point strictly inside a span sunk to a
+        # floor under any line through a point of phi
+        sunk = prof[:]
+        floor = -(abs(_LINE_SLOPE) + 1) * n - 1
+        for s in local:
+            sunk[s + 1 : s + length] = [floor] * (length - 1)
+        # the line through t, one ordinate per point, and the points on or
+        # above it, none inside a span; t is one
+        line = accumulate(repeat(_LINE_SLOPE, n - 1), initial=prof[t] - _LINE_SLOPE * t)
+        above = compress(range(n), map(ge, sunk, line))
+        z = max(above, key=prof.__getitem__) if _HIGHEST_FIRST else next(above)  # max keeps the leftmost
+        z_ordinate = prof[z]
     alpha = phi[z:]
     # the spans from z on come first, then those before z, each group in order
     moved = [t0 + 1 + s - z for s in local if s >= z] + [t0 + 1 + s + len(alpha) for s in local if s < z]
     out, out_spans = word[:t0] + "0" + alpha + phi[:z], spans[: len(spans) - len(local)] + tuple(moved)
     if height(out) != height(word) - 1:
         raise InvariantViolation(f"cut of {_text(word, spans)} gave {_text(out, out_spans)}, not one ordinate lower")
-    return out, out_spans, t0 + t, t0 + z, prof[z]
+    return out, out_spans, t0 + t, t0 + z, z_ordinate
 
 
 def cut_and_paste(mw: MarkedWord, pattern: Pattern) -> MarkedWord:
@@ -355,14 +450,23 @@ def cut_and_paste(mw: MarkedWord, pattern: Pattern) -> MarkedWord:
 # --- productions -------------------------------------------------------------
 
 
-def _jump1(word: str, spans: tuple[int, ...], label: int, parity: int, pc: PathClass, pattern: Pattern) -> list[_Kid]:
-    if pc.kind is PathKind.GAMMA:
+def _jump1(
+    word: str,
+    spans: tuple[int, ...],
+    label: int,
+    parity: int,
+    pc: PathClass,
+    pattern: Pattern,
+    state: _State | None = None,
+) -> list[_Kid]:
+    if pc.kind is _GAMMA:
         raise NotDeltaError(_text(word, spans))
-    out = _appends(word, spans, label, parity, pc, pattern, 1, "up")
+    family = _tail(word, label, state, pattern, 1)
+    out = _appends(word, spans, label, parity, pc, pattern, 1, "up", family)
     grown = word + "1" + "0" * label
     t0 = _append_start(word, label, pc)  # rightmost eligible axis point of grown
     if spans and spans[-1] >= t0:
-        repaired, repaired_spans = _cut(grown, spans, pattern, t0)[:2]
+        repaired, repaired_spans = _cut(grown, spans, pattern, t0, family[1])[:2]
         repaired_pc = None
     else:
         # the suffix is span-free and above the axis; flipped, it returns
@@ -373,22 +477,31 @@ def _jump1(word: str, spans: tuple[int, ...], label: int, parity: int, pc: PathC
         raise _mislabelled(0, repaired)
     if parity != (1 if len(repaired_spans) % 2 == 0 else -1):
         raise _missigned(parity, repaired_spans, repaired)
-    out.append((repaired, repaired_spans, 0, parity, "up:axis", repaired_pc))
+    out.append((repaired, repaired_spans, 0, parity, "up:axis", repaired_pc, None))
     return out
 
 
-def _jumpj(word: str, spans: tuple[int, ...], label: int, parity: int, pc: PathClass, pattern: Pattern) -> list[_Kid]:
-    a, pin = _ladder(word, spans, label, pc, pattern)
+def _jumpj(
+    word: str,
+    spans: tuple[int, ...],
+    label: int,
+    parity: int,
+    pc: PathClass,
+    pattern: Pattern,
+    state: _State | None = None,
+) -> list[_Kid]:
+    a, pin = _ladder(word, spans, label, pc, pattern, state)
     k = label
     ji = pattern.j - pattern.i
-    out = _appends(word, spans, label, parity, pc, pattern, pattern.j, "mark")
+    family = _tail(word, label, state, pattern, pattern.j)
+    out = _appends(word, spans, label, parity, pc, pattern, pattern.j, "mark", family)
     head, marked = word + pattern.factor, spans + (len(word),)
     t0 = _append_start(word, label, pc)
     behind = len(word) + pattern.length
     parity = -parity
     for y in range(k + a, k + ji):
         grown = head + "0" * y
-        repaired, repaired_spans, t, z, z_ordinate = _cut(grown, marked, pattern, t0)
+        repaired, repaired_spans, t, z, z_ordinate = _cut(grown, marked, pattern, t0, family[1])
         if t != behind:
             raise InvariantViolation(f"t at {t}, not behind the new span, in {_text(grown, marked)}")
         if pin is None:
@@ -404,7 +517,7 @@ def _jumpj(word: str, spans: tuple[int, ...], label: int, parity: int, pc: PathC
                 raise _mislabelled(m0 - g, child)
             if parity != sign:
                 raise _missigned(parity, repaired_spans, child)
-            out.append((child, repaired_spans, m0 - g, parity, f"mark:cut{y}+{g}" if g else f"mark:cut{y}", None))
+            out.append((child, repaired_spans, m0 - g, parity, f"mark:cut{y}+{g}" if g else f"mark:cut{y}", None, None))
     got = Counter(kid[2] for kid in out)
     want = {m: 1 + max(0, ji - a - m) for m in range(k + ji + 1)}
     if got != want:
@@ -423,19 +536,24 @@ def _expand(
     pc: PathClass,
     pattern: Pattern,
     max_level: int | None = None,
+    state: _State | None = None,
 ) -> dict[int, list[_Kid]]:
     """The children of a copy at `level` that carries its class, as checked
     kids grouped by target level, jump 1 first: the production table, one
     row per jump, and the walk's seam.  A gamma copy takes each row's plain
     appends, a delta copy its production.  A row whose level lies past
     max_level (None: no bound) is never built, so a jump-j family out of
-    range skips its cuts and its label multiset check."""
+    range skips its cuts and its label multiset check.  A copy that
+    carries its state (see _tail) passes one on to every plain append."""
     args = word, spans, label, parity, pc, pattern
-    gamma = pc.kind is PathKind.GAMMA
+    gamma = pc.kind is _GAMMA
     groups = {}
     for jump, tag, production in (1, "up", _jump1), (pattern.j, "mark", _jumpj):
         if max_level is None or level + jump <= max_level:
-            groups[level + jump] = _appends(*args, jump, "g" + tag) if gamma else production(*args)
+            if gamma:
+                groups[level + jump] = _appends(*args, jump, "g" + tag, _tail(word, label, state, pattern, jump))
+            else:
+                groups[level + jump] = production(*args, state)
     return groups
 
 
@@ -457,7 +575,7 @@ def gamma_expand(node: TreeNode, pattern: Pattern) -> tuple[list[TreeNode], list
     """Gamma children, jump 1 then jump j: plain appends only, each label
     exactly once."""
     word, spans, label, parity, pc = _fields(node, pattern)
-    if pc.kind is not PathKind.GAMMA:
+    if pc.kind is not _GAMMA:
         raise NotGammaError(node.mw.to_text())
     groups = _expand(word, spans, label, parity, node.level, pc, pattern)
     up, mark = (_nodes(node, n, kids) for n, kids in groups.items())
@@ -544,9 +662,9 @@ def _walk(
     once: walked ones, and, behind each kept walked return of level m, the
     kept nodes of level n - m.  That is every tree node keep accepts,
     provided keep accepts every factor of a word it accepts.  The stack
-    holds plain tuples (word, spans, label, parity, level, lineage, class),
-    where a lineage is () at the root and otherwise the linked pair (parent
-    lineage, tag).
+    holds plain tuples (word, spans, label, parity, level, lineage, class,
+    state), where a lineage is () at the root and otherwise the linked pair
+    (parent lineage, tag), and state is the suffix state (see _tail).
 
     A copy whose classification or expansion raises grows no subtree, and
     the walk goes on: it raises nothing the construction raises.  failure
@@ -566,12 +684,12 @@ def _walk(
     tallies[0].copies[""] = [1, 0]  # no production makes the root: count it here
     if keep is not None and keep(""):
         tallies[0].kept.append(TreeNode(MarkedWord(""), 0, 1, 0))
-    stack = [("", (), 0, 1, 0, (), _on_axis(0))] if max_ones else []
+    stack = [("", (), 0, 1, 0, (), _on_axis(0), (0, 0, 0, None))] if max_ones else []
     push = stack.append
     while stack:
-        word, spans, label, parity, level, lineage, pc = stack.pop()
+        word, spans, label, parity, level, lineage, pc, state = stack.pop()
         try:
-            groups = _expand(word, spans, label, parity, level, pc, pattern, max_ones)
+            groups = _expand(word, spans, label, parity, level, pc, pattern, max_ones, state)
         except Exception as exc:
             fail((level, 1, (word, spans, parity)), exc)
             continue
@@ -579,7 +697,7 @@ def _walk(
             here = tallies[n]
             copies = here.copies
             deeper = n < max_ones
-            for word, spans, label, parity, tag, pc in kids:  # of the parent, only lineage is read on
+            for word, spans, label, parity, tag, pc, state in kids:  # of the parent, only lineage is read on
                 cell = copies.get(word)
                 if cell is None:
                     cell = copies[word] = [0, 0]
@@ -592,13 +710,14 @@ def _walk(
                 if pc is None:  # built by a cut
                     try:
                         pc = classify(MarkedWord(word, spans), pattern)
+                        state = _suffix_state(word, spans, pc.suffix_start, pattern)
                     except Exception as exc:
                         fail((n, 0, (word, spans, parity)), exc)
                         continue
-                if pc.kind is PathKind.GAMMA:
+                if pc.kind is _GAMMA:
                     here.gamma += 1
                 if deeper:
-                    push((word, spans, label, parity, n, (lineage, tag), pc))
+                    push((word, spans, label, parity, n, (lineage, tag), pc, state))
     if keep is not None:
         walked = [[q for q in t.kept if q.label == 0] for t in tallies]  # before any is grown
         for n, t in enumerate(tallies):
@@ -630,7 +749,9 @@ def _lineages(pattern: Pattern, word: str) -> tuple[tuple[str, ...], ...]:
     return tuple(nd.provenance for nd in copies)
 
 
-def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> RunResult:
+def run_levels(
+    pattern: Pattern, max_ones: int, *, keep_nodes: bool = False, budget: int = DEFAULT_BUDGET
+) -> RunResult:
     """Grow the tree up to max_ones rise steps and report each level.
 
     Per level the report carries the label census, the word census as a
@@ -641,8 +762,11 @@ def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> 
     n ones), the walk's tallies and its stack, and not the copies unless
     keep_nodes; no node is built without it.
 
-    Raises ValueError for max_ones < 0.  Each level is checked before the
-    next: a word whose net lies outside {0, 1} raises NetOutOfRange (the
+    Raises ValueError for max_ones < 0, then oracle.BudgetExceeded before
+    anything is built when a level's census would need more than `budget`
+    cells per list (C(2n+1, n) for n ones, the candidates brute_force
+    counts; by default the run stops at 12 ones).  Each level is checked
+    before the next: a word whose net lies outside {0, 1} raises NetOutOfRange (the
     smallest such word, with the lineages of all its copies in node
     order); then a classification, and then an expansion, that failed on
     a copy of that level is raised, the smallest copy first.  Failures
@@ -650,6 +774,7 @@ def run_levels(pattern: Pattern, max_ones: int, *, keep_nodes: bool = False) -> 
     """
     if max_ones < 0:
         raise ValueError("max_ones must be >= 0")
+    _check_levels(max_ones, budget)
     return _run(pattern, max_ones, (lambda w: True) if keep_nodes else None)
 
 
@@ -711,7 +836,7 @@ def collect_copies(result: RunResult, word: str) -> list[TreeNode]:
     return [nd for nd in nodes if nd.mw.word == word]
 
 
-def copies_of(pattern: Pattern, word: str) -> list[TreeNode]:
+def copies_of(pattern: Pattern, word: str, *, budget: int = DEFAULT_BUDGET) -> list[TreeNode]:
     """Every tree copy of `word` at its level, in node order (sort_key,
     then lineage), from a run to that level: the levels are walked once
     and checked as run_levels checks them, so a failing level raises.
@@ -719,6 +844,8 @@ def copies_of(pattern: Pattern, word: str) -> list[TreeNode]:
     The run keeps only the nodes whose word is a factor of `word`: the
     copies below an axis return are grown from those of the return and of
     a suffix, so memory holds the walk's censuses and those factors, not
-    every node.  A word not over 0/1 raises ValueError before the walk."""
+    every node.  A word not over 0/1 raises ValueError, and a level over
+    `budget` BudgetExceeded (as in run_levels), before the walk."""
     _check_binary(word)
+    _check_levels(word.count("1"), budget)
     return collect_copies(_run(pattern, word.count("1"), lambda w: w in word), word)

@@ -48,7 +48,7 @@ def verify_pattern(
 ) -> VerifyReport:
     _check_levels(max_ones, budget)  # refuse before any tree is built
     if result is None:
-        result = run_levels(pattern, max_ones)
+        result = run_levels(pattern, max_ones, budget=budget)
     elif (result.pattern, result.max_ones) != (pattern, max_ones):
         raise ValueError(
             f"result is a run of {result.pattern} to {result.max_ones} ones, not of {pattern} to {max_ones}"

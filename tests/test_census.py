@@ -3,12 +3,17 @@ level checks it answers."""
 
 from __future__ import annotations
 
+import random
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from conftest import cached_run
+from patternforge import census
 from patternforge.census import WordCensus, build_census, rank_prefix, unrank
 
 
@@ -47,6 +52,66 @@ class TestRank:
             assert len(block) == comb(rest_ones + rest_zeros, rest_zeros)
             assert words[start : start + len(block)] == block
             assert [rank_prefix(w[len(q) :], rest_ones, rest_zeros) for w in block] == list(range(len(block)))
+
+
+def reference_rank(word: str, ones: int, zeros: int) -> int:
+    """The rank of word in its class: for each 1, the words that put a 0
+    there instead, C(letters left - 1, zeros left - 1) of them."""
+    rank = 0
+    for bit in word:
+        if bit == "1":
+            if zeros:
+                rank += comb(ones + zeros - 1, zeros - 1)
+            ones -= 1
+        else:
+            zeros -= 1
+    return rank
+
+
+def sample_words(ones: int, zeros: int, rng: random.Random, size: int = 6) -> list[str]:
+    """The first and last words of a class and a few drawn by rng."""
+    words = ["0" * zeros + "1" * ones, "1" * ones + "0" * zeros]
+    for _ in range(size):
+        bits = ["1"] * ones + ["0"] * zeros
+        rng.shuffle(bits)
+        words.append("".join(bits))
+    return words
+
+
+# every class up to 34 ones and 34 zeros: its last ranks pass 2**63
+BIG_CLASSES = [(ones, zeros) for ones in range(35) for zeros in range(35)]
+
+
+class TestRankTable:
+    """rank_prefix and unrank read one table of binomials, grown on demand;
+    they must equal the binomials themselves, in any order of growth."""
+
+    def check_classes(self, classes: list[tuple[int, int]]) -> None:
+        rng = random.Random(19)
+        for ones, zeros in classes:
+            for word in sample_words(ones, zeros, rng):
+                rank = reference_rank(word, ones, zeros)
+                assert rank_prefix(word, ones, zeros) == rank, (word, ones, zeros)
+                assert unrank(rank, ones, zeros) == word, (rank, ones, zeros)
+                for cut in (1, len(word) // 2):  # a prefix starts the block of its words
+                    assert rank_prefix(word[:cut], ones, zeros) == reference_rank(word[:cut], ones, zeros)
+
+    def test_ranks_equal_the_binomials_past_2_to_the_63(self):
+        assert comb(68, 34) - 1 > 2**63  # the last rank of class (34, 34)
+        self.check_classes(BIG_CLASSES)
+
+    @pytest.mark.parametrize("large_first", [True, False])
+    def test_ranks_do_not_depend_on_the_order_the_table_grows_in(self, monkeypatch, large_first):
+        monkeypatch.setattr(census, "_SKIPS", [])
+        order = sorted(BIG_CLASSES, key=lambda c: sum(c), reverse=large_first)
+        self.check_classes(order)
+        assert len(census._SKIPS) == 69  # rows for 0 .. 68 letters left
+
+    def test_the_table_is_built_on_first_use_not_at_import(self):
+        script = "from patternforge import census; assert census._SKIPS == [], census._SKIPS"
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=src, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 def census_of(ones: int, cells: dict[str, tuple[int, int]]) -> WordCensus:

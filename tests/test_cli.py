@@ -96,7 +96,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("error", [UnclassifiablePath, NotDeltaError, NotGammaError, NoMarkedPoint])
     def test_production_failure_is_a_soundness_error(self, monkeypatch, error):
-        def expand(word, spans, label, parity, level, pc, pattern, max_level=None):
+        def expand(word, spans, label, parity, level, pc, pattern, max_level=None, state=None):
             raise error(construction.MarkedWord(word, spans).to_text())
 
         monkeypatch.setattr(construction, "_expand", expand)  # the walk's seam
@@ -107,8 +107,8 @@ class TestVerify:
     def test_broken_invariant_is_a_soundness_error(self, monkeypatch):
         real_cut = construction._cut
 
-        def cut_one_fall_too_low(word, spans, pattern, t0):
-            out, out_spans, *points = real_cut(word, spans, pattern, t0)
+        def cut_one_fall_too_low(word, spans, pattern, t0, state=None):
+            out, out_spans, *points = real_cut(word, spans, pattern, t0, state)
             return (out + "0", out_spans, *points)
 
         monkeypatch.setattr(construction, "_cut", cut_one_fall_too_low)
@@ -129,8 +129,8 @@ class TestVerify:
             "from patternforge import construction\n"
             "from patternforge.cli import main\n"
             "real_cut = construction._cut\n"
-            "def cut(word, spans, pattern, t0):\n"
-            "    out, out_spans, *points = real_cut(word, spans, pattern, t0)\n"
+            "def cut(word, spans, pattern, t0, state=None):\n"
+            "    out, out_spans, *points = real_cut(word, spans, pattern, t0, state)\n"
             "    return (out + '0', out_spans, *points)\n"
             "construction._cut = cut\n"
             "sys.exit(main(['verify', '--j', '2', '--i', '1', '--max-ones', '4']))\n"
@@ -148,8 +148,8 @@ class TestVerify:
         message = "internal soundness violation: parity -1 != sign of 0 spans in '0110'\n"
         real_cut = construction._cut
 
-        def cut_dropping_a_span(word, spans, pattern, t0):
-            out, out_spans, *points = real_cut(word, spans, pattern, t0)
+        def cut_dropping_a_span(word, spans, pattern, t0, state=None):
+            out, out_spans, *points = real_cut(word, spans, pattern, t0, state)
             return (out, out_spans[:-1], *points)
 
         monkeypatch.setattr(construction, "_cut", cut_dropping_a_span)
@@ -159,8 +159,8 @@ class TestVerify:
             "from patternforge import construction\n"
             "from patternforge.cli import main\n"
             "real_cut = construction._cut\n"
-            "def cut(word, spans, pattern, t0):\n"
-            "    out, out_spans, *points = real_cut(word, spans, pattern, t0)\n"
+            "def cut(word, spans, pattern, t0, state=None):\n"
+            "    out, out_spans, *points = real_cut(word, spans, pattern, t0, state)\n"
             "    return (out, out_spans[:-1], *points)\n"
             "construction._cut = cut\n"
             "sys.exit(main(['verify', '--j', '2', '--i', '1', '--max-ones', '4']))\n"

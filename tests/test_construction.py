@@ -38,7 +38,7 @@ from patternforge.construction import (
     run_levels,
 )
 from patternforge import construction
-from patternforge.oracle import brute_force
+from patternforge.oracle import BudgetExceeded, brute_force
 from patternforge.words import MarkedWord, PathKind, Pattern, classify, height, occurrences
 
 P21 = Pattern(2, 1)
@@ -326,6 +326,28 @@ class TestRunLevels:
         assert result.levels[0].survivors == ("",)
         with pytest.raises(ValueError):
             run_levels(P21, -1)
+        with pytest.raises(ValueError):  # before the budget
+            run_levels(P21, -1, budget=0)
+
+    @pytest.mark.parametrize(
+        "max_ones,budget,message",
+        [
+            (13, None, "20058300 candidate words exceed budget 10000000"),  # about 1 GB of census by extrapolation
+            (3, 10, "35 candidate words exceed budget 10"),  # the first level over budget
+        ],
+    )
+    def test_an_over_budget_run_is_refused_before_the_walk(self, monkeypatch, max_ones, budget, message):
+        def no_walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(construction, "_walk", no_walk)
+        kwargs = {} if budget is None else {"budget": budget}
+        for keep_nodes in (False, True):
+            with pytest.raises(BudgetExceeded) as err:
+                run_levels(P21, max_ones, keep_nodes=keep_nodes, **kwargs)
+            assert str(err.value) == message
+        monkeypatch.undo()
+        assert len(run_levels(P21, 2, budget=10).levels) == 3  # level 2 has 10 candidates
 
     def test_gamma_nodes_appear_only_when_possible(self):
         # a qualifying span needs i < b < j, impossible when j - i = 1
@@ -368,11 +390,11 @@ def fail_on(monkeypatch, should_fail):
     node without lineage."""
     real = construction._expand
 
-    def expand(word, spans, label, parity, level, pc, pattern, max_level=None):
+    def expand(word, spans, label, parity, level, pc, pattern, max_level=None, state=None):
         node = TreeNode(MarkedWord(word, spans), label, parity, level, (), pc)
         if should_fail(node):
             raise Boom(level, node.sort_key)
-        return real(word, spans, label, parity, level, pc, pattern, max_level)
+        return real(word, spans, label, parity, level, pc, pattern, max_level, state)
 
     monkeypatch.setattr(construction, "_expand", expand)
 
@@ -810,6 +832,64 @@ class TestCarriedState:
         assert len(last) == len(copies) == 8
 
 
+class TestCarriedSuffixState:
+    """The walk carries each copy's cut point z, h and h* on its stack
+    (construction._tail); the node API carries none and scans.  Every cut
+    and slack the walk takes from a carried state must equal the scan's."""
+
+    @pytest.mark.parametrize(
+        "j,i,max_ones", [(2, 1, 8), (3, 2, 8), (4, 3, 8), (3, 1, 6), (4, 1, 8), (4, 2, 8), (5, 2, 8)]
+    )
+    def test_carried_cuts_and_slacks_equal_the_full_scan(self, monkeypatch, j, i, max_ones):
+        real_expand, real_cut, real_ladder = construction._expand, construction._cut, construction._ladder
+        carried = Counter()
+        differ = []
+
+        def expand(word, spans, label, parity, level, pc, pattern, max_level=None, state=None):
+            carried["expand"] += state is not None
+            if state != construction._suffix_state(word, spans, pc.suffix_start, pattern):
+                differ.append(("state", word, spans, state))
+            return real_expand(word, spans, label, parity, level, pc, pattern, max_level, state)
+
+        def cut(word, spans, pattern, t0, state=None):
+            got = real_cut(word, spans, pattern, t0, state)
+            if state is not None:
+                carried["cut"] += 1
+                if got != real_cut(word, spans, pattern, t0):  # (out, spans, t, z, z ordinate)
+                    differ.append(("cut", word, spans, t0))
+            return got
+
+        def ladder(word, spans, label, pc, pattern, state=None):
+            got = real_ladder(word, spans, label, pc, pattern, state)
+            if state is not None:
+                carried["ladder"] += pc.kind is PathKind.DELTA_ABOVE  # a slack read off the state
+                if got != real_ladder(word, spans, label, pc, pattern):  # (a, pin)
+                    differ.append(("ladder", word, spans))
+            return got
+
+        monkeypatch.setattr(construction, "_expand", expand)
+        monkeypatch.setattr(construction, "_cut", cut)
+        monkeypatch.setattr(construction, "_ladder", ladder)
+        run_levels(Pattern(j, i), max_ones)
+        assert differ == []
+        assert min(carried[name] for name in ("expand", "cut", "ladder")) > 0, carried
+
+    def test_the_node_api_carries_no_state(self, monkeypatch):
+        nodes = cached_run(2, 1, 4, keep_nodes=True).levels[4].nodes
+        states = []
+        real_cut = construction._cut
+
+        def cut(word, spans, pattern, t0, state=None):
+            states.append(state)
+            return real_cut(word, spans, pattern, t0, state)
+
+        monkeypatch.setattr(construction, "_cut", cut)
+        for node in nodes:
+            expand_node(node, P21)
+        cut_and_paste(MarkedWord("11010", (0,)), P21)
+        assert states and set(states) == {None}
+
+
 class TestNodeInvariants:
     @pytest.mark.parametrize("j,i,max_ones", [(2, 1, 6), (3, 1, 5), (3, 2, 5)])
     def test_label_parity_level_and_spans(self, j, i, max_ones):
@@ -867,6 +947,20 @@ class TestCollectCopies:
         monkeypatch.setattr(construction, "_walk", no_walk)
         with pytest.raises(ValueError, match=re.escape(repr(word))):
             copies_of(P21, word)
+
+    def test_copies_of_refuses_an_over_budget_word_before_any_walk(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(construction, "_walk", no_walk)
+        with pytest.raises(BudgetExceeded, match="^20058300 candidate words exceed budget 10000000$"):
+            copies_of(P21, "1" * 13)
+        with pytest.raises(BudgetExceeded, match="^35 candidate words exceed budget 10$"):
+            copies_of(P21, "110110110", budget=10)
+        with pytest.raises(ValueError):  # a word not over 0/1 is refused first
+            copies_of(P21, "1x", budget=0)
+        monkeypatch.undo()
+        assert len(copies_of(P21, "110", budget=10)) == 2
 
     def test_copy_counts_double_per_occurrence(self):
         for j, i in CLEAN_PATTERNS:
