@@ -29,23 +29,23 @@ strictly inside a span, z = t when nothing else qualifies.  The result
 v + fall + phi[z:] + phi[:z] ends one ordinate lower.  The slack a reads h
 and h* from the same phi.
 
-The walk carries, with each copy on its stack, a state of its phi: (z
-ordinate, z position, h, h*), where z is the highest (then leftmost) point
-of phi not strictly inside a span.  Under the default geometry that is the
-cut's z: t is such a point, so the highest of them is on or above the
-line through t.  A plain append extends its
+Every production reads, with each copy, a state of its phi from the
+copy's append start (its endpoint when it ends on the axis, its suffix
+start otherwise): (z ordinate, z position, h, h*), where z is the highest
+(then leftmost) point of phi not strictly inside a span.  Under the
+default geometry that is the cut's z: t is such a point, so the highest
+of them is on or above the line through t.  A plain append extends its
 parent's state in O(1) (see _tail): the tail's one candidate z is the
 point right after the appended rise (jump 1) or the new span (jump j),
 and the old z wins a tie; a jump-1 tail with a fall adds an unmarked peak
-at k+1, a jump-j tail a marked peak at k+j; a parent on the axis starts a
-fresh phi at its endpoint, with z at (0, len(word)).  So a family's cuts
-take z from its state and the slack reads h and h* from its parent's,
-with no profile, and every check on t, z and the cut word still runs.
-_cut still scans phi when a cut-geometry knob is moved and when no state
-is carried: the node API (expand_node, delta_jump*, gamma_expand,
-cut_and_paste) carries none.  A cut child above the axis is rescanned:
-classify gives its class and one profile of its phi its state
-(_suffix_state), which its subtree then carries.
+at k+1, a jump-j tail a marked peak at k+j.  So a family's cuts take z
+from its state and the slack reads h and h* from its parent's, with no
+profile, and every check on t, z and the cut word still runs.  One state
+source serves every caller: the walk carries each copy's state on its
+stack, and what has none carried (the node API, cut_and_paste, compute_a,
+and a cut child above the axis, which the walk rescans) reads it off one
+profile of its phi (_suffix_state; with its class, _scan).  _cut scans
+phi only when a cut-geometry knob is moved.
 
 Each plus/minus copy of a word corresponds to one subset of its factor
 occurrences; per level, net = plus - minus is 1 for avoiding words and 0
@@ -111,8 +111,8 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate, compress, repeat
-from operator import ge, gt
+from itertools import compress
+from operator import gt
 from typing import Callable
 
 from .census import build_census
@@ -204,8 +204,8 @@ class TreeNode:
 # reading an Enum member off its class costs a lookup each time.
 _GAMMA, _ON_AXIS, _ABOVE = PathKind.GAMMA, PathKind.DELTA_ON_AXIS, PathKind.DELTA_ABOVE
 
-# What the walk carries of a copy's axis suffix, the part from its class's
-# suffix start (see the module docstring): (z ordinate, z position, h, h*).
+# What every production reads of a copy's axis suffix, the part from its
+# append start (see the module docstring): (z ordinate, z position, h, h*).
 _State = tuple[int, int, int, int | None]
 
 # A checked child, before any node is built for it:
@@ -225,10 +225,10 @@ def _missigned(parity: int, spans: tuple[int, ...], word: str) -> InvariantViola
     return InvariantViolation(f"parity {parity} != sign of {len(spans)} spans in {word!r}")
 
 
-def _fields(node: TreeNode, pattern: Pattern) -> tuple[str, tuple[int, ...], int, int, PathClass]:
-    """(word, spans, label, parity, class): a node as its productions read
-    it, classified here, once, when it carries no class."""
-    return node.mw.word, node.mw.spans, node.label, node.parity, node.path_class or classify(node.mw, pattern)
+def _fields(node: TreeNode, pattern: Pattern) -> tuple[str, tuple[int, ...], int, int, PathClass, _State]:
+    """(word, spans, label, parity, class, state): a node as its productions
+    read it, with its class and state from _scan."""
+    return node.mw.word, node.mw.spans, node.label, node.parity, *_scan(node.mw, node.label, pattern, node.path_class)
 
 
 def _nodes(parent: TreeNode, level: int, kids: list[_Kid]) -> list[TreeNode]:
@@ -253,20 +253,16 @@ def _append_start(word: str, label: int, pc: PathClass) -> int:
     return len(word) if label == 0 else pc.suffix_start
 
 
-def _tail(
-    word: str, label: int, state: _State | None, pattern: Pattern, jump: int
-) -> tuple[_State | None, _State | None]:
-    """The carried states of a plain-append family of a copy with that
-    state, as (its top child's, every other child's), both None when the
-    copy carries none.  A copy on the axis starts a fresh suffix at its
-    endpoint.  Every child, and so the family's grown words, shares one z.
-    The tail's one candidate z is the point right after the appended rise
-    (jump 1) or the new span (jump j), and the old z wins a tie.  A jump-1
-    tail with a fall adds an unmarked peak at k+1, a jump-j tail a marked
-    peak at k+j."""
-    if state is None:
-        return None, None
-    zo, zp, h, hstar = (0, len(word), 0, None) if label == 0 else state
+def _tail(word: str, label: int, state: _State, pattern: Pattern, jump: int) -> tuple[_State, _State]:
+    """The states of a plain-append family of a copy with that state, as
+    (its top child's, every other child's).  The copy's state starts at its
+    append start, so the appended steps extend it.  Every child, and so the
+    family's grown words, shares one z.  The tail's one candidate z is the
+    point right after the appended rise (jump 1) or the new span (jump j),
+    and the old z wins a tie.  A jump-1 tail with a fall adds an unmarked
+    peak at k+1, a jump-j tail a marked peak at k+j.  A label-0 child's
+    state is never read: it ends on the axis and is not expanded."""
+    zo, zp, h, hstar = state
     if jump == 1:
         point = label + 1, len(word) + 1
     else:
@@ -297,6 +293,14 @@ def _suffix_state(word: str, spans: tuple[int, ...], t0: int, pattern: Pattern) 
     return prof[z], t0 + z, h, hstar
 
 
+def _scan(mw: MarkedWord, label: int, pattern: Pattern, pc: PathClass | None = None) -> tuple[PathClass, _State]:
+    """The class of a copy, classified here when pc is None, and its state
+    from its append start, read off one profile: what a copy reads when no
+    state is carried to it."""
+    pc = pc or classify(mw, pattern)
+    return pc, _suffix_state(mw.word, mw.spans, _append_start(mw.word, label, pc), pattern)
+
+
 def _appends(
     word: str,
     spans: tuple[int, ...],
@@ -306,11 +310,12 @@ def _appends(
     pattern: Pattern,
     jump: int,
     tag: str,
-    family: tuple[_State | None, _State | None] = (None, None),
+    family: tuple[_State, _State],
 ) -> list[_Kid]:
     """Plain appends of one rise (jump 1) or the marked factor (jump j) and
     then falls, one child per label from 0 up, each carrying its class and
-    its state from family, what _tail gives the copy.
+    its state from family: the (top child's, other children's) states that
+    _tail extends from the copy's.
 
     The appended steps stay strictly above the axis until the endpoint, so
     the label-0 child ends on the axis behind the parent's suffix start (or
@@ -348,18 +353,18 @@ def _tags(tag: str, top: int) -> tuple[str, ...]:
 
 
 def _ladder(
-    word: str, spans: tuple[int, ...], label: int, pc: PathClass, pattern: Pattern, state: _State | None = None
+    word: str, spans: tuple[int, ...], label: int, pc: PathClass, state: _State, pattern: Pattern
 ) -> tuple[int, int | None]:
     """(a, pin): the slack a of a delta word, and the ordinate its jump-j
     cuts must put z at, None when z must equal t.  They follow from the
     highest unmarked peak h (0 with none) and the highest marked peak h*
-    (None with no span) of the suffix from pc.suffix_start: the carried
-    state's, or else read off that suffix."""
+    (None with no span) of the suffix from pc.suffix_start, read off the
+    copy's state."""
     if pc.kind is _GAMMA:
         raise NotDeltaError(_text(word, spans))
     if pc.kind is _ON_AXIS:
         return 0, None
-    h, hstar = (state or _suffix_state(word, spans, pc.suffix_start, pattern))[2:]
+    h, hstar = state[2:]
     route_marked = hstar is not None and hstar - h > pattern.i
     top = hstar - pattern.i if route_marked else h
     ji = pattern.j - pattern.i
@@ -377,7 +382,8 @@ def compute_a(mw: MarkedWord, pattern: Pattern) -> int:
     ValueError on malformed spans.
     """
     mw.validate(pattern)
-    return _ladder(mw.word, mw.spans, height(mw.word), classify(mw, pattern), pattern)[0]
+    label = height(mw.word)
+    return _ladder(mw.word, mw.spans, label, *_scan(mw, label, pattern), pattern)[0]
 
 
 # Arbitration knobs for the cut geometry; the differential suite (verify
@@ -387,17 +393,17 @@ _HIGHEST_FIRST = True
 
 
 def _cut(
-    word: str, spans: tuple[int, ...], pattern: Pattern, t0: int, state: _State | None = None
+    word: str, spans: tuple[int, ...], pattern: Pattern, t0: int, state: _State
 ) -> tuple[str, tuple[int, ...], int, int, int]:
-    """Cut-and-paste the suffix of a marked word from the axis point t0: the
-    cut word and its spans, then t, z (both positions in word) and z's
-    ordinate.  spans are sorted, as every span tuple of the tree is.
+    """Cut-and-paste the suffix of a marked word from the axis point t0,
+    whose state is given: the cut word and its spans, then t, z (both
+    positions in word) and z's ordinate.  spans are sorted, as every span
+    tuple of the tree is.
 
-    Under the default geometry z is the carried state's point, when a
-    state is carried: t, checked not to lie strictly inside a span, is a
-    candidate, so the highest candidate on or above the line through t is
-    the highest of the whole suffix.  Otherwise z comes from a scan of the
-    suffix's profile."""
+    Under the default geometry z is the state's point: t, checked not to
+    lie strictly inside a span, is a candidate, so the highest candidate on
+    or above the line through t is the highest of the whole suffix.  Only a
+    moved knob scans the suffix's profile for z."""
     local = [s - t0 for s in spans if s >= t0]
     if not local:
         raise NoMarkedPoint(_text(word, spans))
@@ -407,22 +413,15 @@ def _cut(
     # only a span that starts right of the last one can hold t: none, when sorted
     if max(local) > local[-1] and any(s < t < s + length for s in local):
         raise SpanSplitError(f"t at {t0 + t} inside a span of {_text(word, spans)}")
-    if state is not None and _LINE_SLOPE == 0 and _HIGHEST_FIRST:
+    if _LINE_SLOPE == 0 and _HIGHEST_FIRST:
         z_ordinate, z = state[0], state[1] - t0
     else:
+        # the points of phi on or above the line through t, none strictly
+        # inside a span; t is one
         prof = profile(phi)
-        n = len(prof)
-        # the profile with every point strictly inside a span sunk to a
-        # floor under any line through a point of phi
-        sunk = prof[:]
-        floor = -(abs(_LINE_SLOPE) + 1) * n - 1
-        for s in local:
-            sunk[s + 1 : s + length] = [floor] * (length - 1)
-        # the line through t, one ordinate per point, and the points on or
-        # above it, none inside a span; t is one
-        line = accumulate(repeat(_LINE_SLOPE, n - 1), initial=prof[t] - _LINE_SLOPE * t)
-        above = compress(range(n), map(ge, sunk, line))
-        z = max(above, key=prof.__getitem__) if _HIGHEST_FIRST else next(above)  # max keeps the leftmost
+        inside = {p for s in local for p in range(s + 1, s + length)}
+        above = [p for p, y in enumerate(prof) if p not in inside and y >= prof[t] + _LINE_SLOPE * (p - t)]
+        z = max(above, key=prof.__getitem__) if _HIGHEST_FIRST else above[0]  # max keeps the leftmost
         z_ordinate = prof[z]
     alpha = phi[z:]
     # the spans from z on come first, then those before z, each group in order
@@ -444,7 +443,8 @@ def cut_and_paste(mw: MarkedWord, pattern: Pattern) -> MarkedWord:
     mw.validate(pattern)
     if height(mw.word) < 1:
         raise ValueError(f"cut_and_paste needs endpoint ordinate >= 1, got {mw.to_text()}")
-    return MarkedWord(*_cut(mw.word, mw.spans, pattern, rightmost_suffix(mw, pattern)[2])[:2])
+    t0 = rightmost_suffix(mw, pattern)[2]
+    return MarkedWord(*_cut(mw.word, mw.spans, pattern, t0, _suffix_state(mw.word, mw.spans, t0, pattern))[:2])
 
 
 # --- productions -------------------------------------------------------------
@@ -456,8 +456,8 @@ def _jump1(
     label: int,
     parity: int,
     pc: PathClass,
+    state: _State,
     pattern: Pattern,
-    state: _State | None = None,
 ) -> list[_Kid]:
     if pc.kind is _GAMMA:
         raise NotDeltaError(_text(word, spans))
@@ -487,10 +487,10 @@ def _jumpj(
     label: int,
     parity: int,
     pc: PathClass,
+    state: _State,
     pattern: Pattern,
-    state: _State | None = None,
 ) -> list[_Kid]:
-    a, pin = _ladder(word, spans, label, pc, pattern, state)
+    a, pin = _ladder(word, spans, label, pc, state, pattern)
     k = label
     ji = pattern.j - pattern.i
     family = _tail(word, label, state, pattern, pattern.j)
@@ -534,26 +534,27 @@ def _expand(
     parity: int,
     level: int,
     pc: PathClass,
+    state: _State,
     pattern: Pattern,
     max_level: int | None = None,
-    state: _State | None = None,
 ) -> dict[int, list[_Kid]]:
-    """The children of a copy at `level` that carries its class, as checked
-    kids grouped by target level, jump 1 first: the production table, one
-    row per jump, and the walk's seam.  A gamma copy takes each row's plain
-    appends, a delta copy its production.  A row whose level lies past
-    max_level (None: no bound) is never built, so a jump-j family out of
-    range skips its cuts and its label multiset check.  A copy that
-    carries its state (see _tail) passes one on to every plain append."""
-    args = word, spans, label, parity, pc, pattern
+    """The children of a copy at `level` with its class and state, as
+    checked kids grouped by target level, jump 1 first: the production
+    table, one row per jump, and the walk's seam.  A gamma copy takes each
+    row's plain appends, a delta copy its production.  A row whose level
+    lies past max_level (None: no bound) is never built, so a jump-j family
+    out of range skips its cuts and its label multiset check.  The copy's
+    state passes on to every plain append (see _tail)."""
+    args = word, spans, label, parity, pc
     gamma = pc.kind is _GAMMA
     groups = {}
     for jump, tag, production in (1, "up", _jump1), (pattern.j, "mark", _jumpj):
         if max_level is None or level + jump <= max_level:
             if gamma:
-                groups[level + jump] = _appends(*args, jump, "g" + tag, _tail(word, label, state, pattern, jump))
+                family = _tail(word, label, state, pattern, jump)
+                groups[level + jump] = _appends(*args, pattern, jump, "g" + tag, family)
             else:
-                groups[level + jump] = production(*args, state)
+                groups[level + jump] = production(*args, state, pattern)
     return groups
 
 
@@ -574,10 +575,10 @@ def delta_jumpj(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
 def gamma_expand(node: TreeNode, pattern: Pattern) -> tuple[list[TreeNode], list[TreeNode]]:
     """Gamma children, jump 1 then jump j: plain appends only, each label
     exactly once."""
-    word, spans, label, parity, pc = _fields(node, pattern)
+    word, spans, label, parity, pc, state = _fields(node, pattern)
     if pc.kind is not _GAMMA:
         raise NotGammaError(node.mw.to_text())
-    groups = _expand(word, spans, label, parity, node.level, pc, pattern)
+    groups = _expand(word, spans, label, parity, node.level, pc, state, pattern)
     up, mark = (_nodes(node, n, kids) for n, kids in groups.items())
     return up, mark
 
@@ -587,8 +588,8 @@ def expand_node(node: TreeNode, pattern: Pattern, max_level: int | None = None) 
     each group sorted by sort_key: by (word, span starts), since a group
     has one parity.  A group past max_level (None: no bound) is never
     built (see _expand)."""
-    word, spans, label, parity, pc = _fields(node, pattern)
-    groups = _expand(word, spans, label, parity, node.level, pc, pattern, max_level)
+    word, spans, label, parity, pc, state = _fields(node, pattern)
+    groups = _expand(word, spans, label, parity, node.level, pc, state, pattern, max_level)
     return {n: sorted(_nodes(node, n, kids), key=lambda nd: nd.sort_key) for n, kids in groups.items()}
 
 
@@ -689,7 +690,7 @@ def _walk(
     while stack:
         word, spans, label, parity, level, lineage, pc, state = stack.pop()
         try:
-            groups = _expand(word, spans, label, parity, level, pc, pattern, max_ones, state)
+            groups = _expand(word, spans, label, parity, level, pc, state, pattern, max_ones)
         except Exception as exc:
             fail((level, 1, (word, spans, parity)), exc)
             continue
@@ -709,8 +710,7 @@ def _walk(
                     continue
                 if pc is None:  # built by a cut
                     try:
-                        pc = classify(MarkedWord(word, spans), pattern)
-                        state = _suffix_state(word, spans, pc.suffix_start, pattern)
+                        pc, state = _scan(MarkedWord(word, spans), label, pattern)
                     except Exception as exc:
                         fail((n, 0, (word, spans, parity)), exc)
                         continue

@@ -18,6 +18,10 @@ Two routes that share no code with the tree construction:
   rows of the zero count before, then a rise within the new rows.  It
   yields the counts for every fall count at once; that row is memoised
   per (pattern, ones), so the calls for the labels of one level share it.
+
+A level with fewer than j ones holds no run of j ones, so every word of it
+avoids the factor: both routes answer it without building the factor or
+its automaton, whose size grows with j and not with the level.
 """
 
 from __future__ import annotations
@@ -113,23 +117,26 @@ def brute_force(pattern: Pattern, ones: int, budget: int = DEFAULT_BUDGET) -> li
     cell (o-1, z) that does not start with the factor less its first 1.  A
     prepended 0 never completes 1^j 0^i, and a prepended 1 completes it
     exactly when the new word starts with it; in a sorted cell the words
-    that would do so form one block, found by bisection and dropped.  Row
-    `ones`, joined in z order, is the output with no sort.  Each source cell
-    is released a slice at a time as its target is built, so a cell and its
-    source never both exist in full.
+    that would do so form one block, found by bisection and dropped.  A
+    level with fewer than j ones holds no run of j ones, so it keeps every
+    word and never builds the factor, which may be far longer than its
+    words.  Row `ones`, joined in z order, is the output with no sort.  Each
+    source cell is released a slice at a time as its target is built, so a
+    cell and its source never both exist in full.
     """
     _check_budget(ones, budget)
     if ones < 0:
         return []
-    tail = pattern.factor[1:]
-    past_tail = tail + "2"  # sorts after every word that starts with tail
+    tail = pattern.factor[1:] if pattern.j <= ones else None
     row = [["0" * z] for z in range(ones + 1)]  # row 0: only zeros
     for _ in range(ones):
         below: list[str] = []  # cell (o, z-1) of the row being built
         for z, source in enumerate(row):
             cell = ["0" + w for w in below]
-            start = bisect_left(source, tail)
-            del source[start : bisect_left(source, past_tail, start)]
+            if tail is not None:
+                start = bisect_left(source, tail)
+                # tail + "2" sorts after every word that starts with tail
+                del source[start : bisect_left(source, tail + "2", start)]
             while source:
                 cell += ["1" + w for w in source[:_SLICE]]
                 del source[:_SLICE]
@@ -148,7 +155,12 @@ def _counts_by_zeros(pattern: Pattern, ones: int, width: int) -> tuple[int, ...]
     sweep of the DP over the zeros.  rows[o][s] counts the avoiding words
     with o ones and the current zero count that end in live state s.  The
     empty word seeds zero count 0; each later zero count is a fall from the
-    rows of the one before, and every zero count then rises row by row."""
+    rows of the one before, and every zero count then rises row by row.
+    With fewer than j ones every word avoids the factor, so the counts are
+    the binomials C(ones + z, z), and no automaton is built: it has j + i
+    states, which may be far more than the words have letters."""
+    if pattern.j > ones:
+        return tuple(comb(ones + z, z) for z in range(width + 1))
     aut = build_automaton(pattern)
     moves, dead = aut.transitions, aut.dead  # live states 0..dead-1
 

@@ -96,7 +96,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("error", [UnclassifiablePath, NotDeltaError, NotGammaError, NoMarkedPoint])
     def test_production_failure_is_a_soundness_error(self, monkeypatch, error):
-        def expand(word, spans, label, parity, level, pc, pattern, max_level=None, state=None):
+        def expand(word, spans, label, parity, level, pc, state, pattern, max_level=None):
             raise error(construction.MarkedWord(word, spans).to_text())
 
         monkeypatch.setattr(construction, "_expand", expand)  # the walk's seam
@@ -107,7 +107,7 @@ class TestVerify:
     def test_broken_invariant_is_a_soundness_error(self, monkeypatch):
         real_cut = construction._cut
 
-        def cut_one_fall_too_low(word, spans, pattern, t0, state=None):
+        def cut_one_fall_too_low(word, spans, pattern, t0, state):
             out, out_spans, *points = real_cut(word, spans, pattern, t0, state)
             return (out + "0", out_spans, *points)
 
@@ -129,7 +129,7 @@ class TestVerify:
             "from patternforge import construction\n"
             "from patternforge.cli import main\n"
             "real_cut = construction._cut\n"
-            "def cut(word, spans, pattern, t0, state=None):\n"
+            "def cut(word, spans, pattern, t0, state):\n"
             "    out, out_spans, *points = real_cut(word, spans, pattern, t0, state)\n"
             "    return (out + '0', out_spans, *points)\n"
             "construction._cut = cut\n"
@@ -148,7 +148,7 @@ class TestVerify:
         message = "internal soundness violation: parity -1 != sign of 0 spans in '0110'\n"
         real_cut = construction._cut
 
-        def cut_dropping_a_span(word, spans, pattern, t0, state=None):
+        def cut_dropping_a_span(word, spans, pattern, t0, state):
             out, out_spans, *points = real_cut(word, spans, pattern, t0, state)
             return (out, out_spans[:-1], *points)
 
@@ -159,7 +159,7 @@ class TestVerify:
             "from patternforge import construction\n"
             "from patternforge.cli import main\n"
             "real_cut = construction._cut\n"
-            "def cut(word, spans, pattern, t0, state=None):\n"
+            "def cut(word, spans, pattern, t0, state):\n"
             "    out, out_spans, *points = real_cut(word, spans, pattern, t0, state)\n"
             "    return (out, out_spans[:-1], *points)\n"
             "construction._cut = cut\n"

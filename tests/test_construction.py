@@ -5,8 +5,10 @@ from __future__ import annotations
 import re
 import tracemalloc
 from collections import Counter
+from contextlib import suppress
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import accumulate, combinations, compress, product, repeat
+from operator import ge
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,11 +22,13 @@ from conftest import (
     expected_word_census,
 )
 from patternforge.construction import (
+    InvariantViolation,
     MultiplicityMismatch,
     NetOutOfRange,
     NoMarkedPoint,
     NotDeltaError,
     NotGammaError,
+    SpanSplitError,
     TreeNode,
     _behind,
     collect_copies,
@@ -39,7 +43,7 @@ from patternforge.construction import (
 )
 from patternforge import construction
 from patternforge.oracle import BudgetExceeded, brute_force
-from patternforge.words import MarkedWord, PathKind, Pattern, classify, height, occurrences
+from patternforge.words import MarkedWord, PathKind, Pattern, classify, height, occurrences, profile
 
 P21 = Pattern(2, 1)
 P31 = Pattern(3, 1)
@@ -390,11 +394,11 @@ def fail_on(monkeypatch, should_fail):
     node without lineage."""
     real = construction._expand
 
-    def expand(word, spans, label, parity, level, pc, pattern, max_level=None, state=None):
+    def expand(word, spans, label, parity, level, pc, state, pattern, max_level=None):
         node = TreeNode(MarkedWord(word, spans), label, parity, level, (), pc)
         if should_fail(node):
             raise Boom(level, node.sort_key)
-        return real(word, spans, label, parity, level, pc, pattern, max_level, state)
+        return real(word, spans, label, parity, level, pc, state, pattern, max_level)
 
     monkeypatch.setattr(construction, "_expand", expand)
 
@@ -832,39 +836,86 @@ class TestCarriedState:
         assert len(last) == len(copies) == 8
 
 
+def reference_cut(word: str, spans: tuple[int, ...], pattern: Pattern, t0: int):
+    """construction._cut as it read z before every production read the
+    suffix state: a scan of the suffix's profile with every point strictly
+    inside a span sunk to a floor under any line, under the cut-geometry
+    knobs as they are set.  The same checks, messages and result."""
+    text = MarkedWord(word, spans).to_text()
+    local = [s - t0 for s in spans if s >= t0]
+    if not local:
+        raise NoMarkedPoint(text)
+    phi, length = word[t0:], pattern.length
+    t = local[-1] + length
+    if any(s < t < s + length for s in local):
+        raise SpanSplitError(f"t at {t0 + t} inside a span of {text}")
+    slope = construction._LINE_SLOPE
+    prof = profile(phi)
+    n = len(prof)
+    sunk = prof[:]
+    floor = -(abs(slope) + 1) * n - 1
+    for s in local:
+        sunk[s + 1 : s + length] = [floor] * (length - 1)
+    line = accumulate(repeat(slope, n - 1), initial=prof[t] - slope * t)
+    above = compress(range(n), map(ge, sunk, line))
+    z = max(above, key=prof.__getitem__) if construction._HIGHEST_FIRST else next(above)
+    alpha = phi[z:]
+    moved = [t0 + 1 + s - z for s in local if s >= z] + [t0 + 1 + s + len(alpha) for s in local if s < z]
+    out, out_spans = word[:t0] + "0" + alpha + phi[:z], spans[: len(spans) - len(local)] + tuple(moved)
+    if height(out) != height(word) - 1:
+        raise InvariantViolation(f"cut of {text} gave {MarkedWord(out, out_spans).to_text()}, not one ordinate lower")
+    return out, out_spans, t0 + t, t0 + z, prof[z]
+
+
+def outcome(fn, *args):
+    """("ok", result) or ("raise", exception type, message) of one call."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:
+        return "raise", type(exc), str(exc)
+
+
+def scratch_state(word, spans, label, pc, pattern):
+    """A copy's suffix state read from scratch, from its append start."""
+    return construction._suffix_state(word, spans, construction._append_start(word, label, pc), pattern)
+
+
 class TestCarriedSuffixState:
-    """The walk carries each copy's cut point z, h and h* on its stack
-    (construction._tail); the node API carries none and scans.  Every cut
-    and slack the walk takes from a carried state must equal the scan's."""
+    """Every production reads a copy's suffix state (z, h, h*) from its
+    append start: the walk carries it on its stack (construction._tail),
+    and the node API, cut_and_paste and compute_a read it off one profile
+    (construction._scan).  Every state must equal one read from scratch,
+    every cut the reference scan's, and every slack the one that a state
+    read from scratch gives."""
 
     @pytest.mark.parametrize(
         "j,i,max_ones", [(2, 1, 8), (3, 2, 8), (4, 3, 8), (3, 1, 6), (4, 1, 8), (4, 2, 8), (5, 2, 8)]
     )
-    def test_carried_cuts_and_slacks_equal_the_full_scan(self, monkeypatch, j, i, max_ones):
+    def test_carried_states_cuts_and_slacks_equal_the_references(self, monkeypatch, j, i, max_ones):
         real_expand, real_cut, real_ladder = construction._expand, construction._cut, construction._ladder
-        carried = Counter()
+        seen = Counter()
         differ = []
 
-        def expand(word, spans, label, parity, level, pc, pattern, max_level=None, state=None):
-            carried["expand"] += state is not None
-            if state != construction._suffix_state(word, spans, pc.suffix_start, pattern):
+        def expand(word, spans, label, parity, level, pc, state, pattern, max_level=None):
+            seen["expand"] += 1
+            if state != scratch_state(word, spans, label, pc, pattern):
                 differ.append(("state", word, spans, state))
-            return real_expand(word, spans, label, parity, level, pc, pattern, max_level, state)
+            return real_expand(word, spans, label, parity, level, pc, state, pattern, max_level)
 
-        def cut(word, spans, pattern, t0, state=None):
+        def cut(word, spans, pattern, t0, state):
+            seen["cut"] += 1
+            if state != construction._suffix_state(word, spans, t0, pattern):
+                differ.append(("cut state", word, spans, t0, state))
             got = real_cut(word, spans, pattern, t0, state)
-            if state is not None:
-                carried["cut"] += 1
-                if got != real_cut(word, spans, pattern, t0):  # (out, spans, t, z, z ordinate)
-                    differ.append(("cut", word, spans, t0))
+            if got != reference_cut(word, spans, pattern, t0):  # (out, spans, t, z, z ordinate)
+                differ.append(("cut", word, spans, t0))
             return got
 
-        def ladder(word, spans, label, pc, pattern, state=None):
-            got = real_ladder(word, spans, label, pc, pattern, state)
-            if state is not None:
-                carried["ladder"] += pc.kind is PathKind.DELTA_ABOVE  # a slack read off the state
-                if got != real_ladder(word, spans, label, pc, pattern):  # (a, pin)
-                    differ.append(("ladder", word, spans))
+        def ladder(word, spans, label, pc, state, pattern):
+            got = real_ladder(word, spans, label, pc, state, pattern)
+            seen["ladder"] += pc.kind is PathKind.DELTA_ABOVE  # a slack read off the state
+            if got != real_ladder(word, spans, label, pc, scratch_state(word, spans, label, pc, pattern), pattern):
+                differ.append(("ladder", word, spans))  # (a, pin)
             return got
 
         monkeypatch.setattr(construction, "_expand", expand)
@@ -872,22 +923,99 @@ class TestCarriedSuffixState:
         monkeypatch.setattr(construction, "_ladder", ladder)
         run_levels(Pattern(j, i), max_ones)
         assert differ == []
-        assert min(carried[name] for name in ("expand", "cut", "ladder")) > 0, carried
+        assert min(seen[name] for name in ("expand", "cut", "ladder")) > 0, seen
 
-    def test_the_node_api_carries_no_state(self, monkeypatch):
-        nodes = cached_run(2, 1, 4, keep_nodes=True).levels[4].nodes
-        states = []
-        real_cut = construction._cut
+    @staticmethod
+    def call_the_node_api() -> None:
+        """expand_node (bounded and not), delta_jump1, delta_jumpj and
+        gamma_expand on every kept node of (2,1) to 6 ones and (3,1) to 5,
+        each node with its class and without, where its class admits the
+        call; compute_a on each delta node, and cut_and_paste on each
+        that has a span in its suffix above the axis."""
+        for j, i, max_ones in (2, 1, 6), (3, 1, 5):
+            pattern = Pattern(j, i)
+            for rep in cached_run(j, i, max_ones, keep_nodes=True).levels:
+                for node in rep.nodes:
+                    pc = classify(node.mw, pattern)
+                    for nd in replace(node, path_class=pc), replace(node, path_class=None):
+                        expand_node(nd, pattern)
+                        expand_node(nd, pattern, nd.level + 1)
+                        if pc.kind is PathKind.GAMMA:
+                            gamma_expand(nd, pattern)
+                        else:
+                            delta_jump1(nd, pattern)
+                            delta_jumpj(nd, pattern)
+                    if pc.kind is not PathKind.GAMMA:
+                        compute_a(node.mw, pattern)
+                    if node.label and any(s >= pc.suffix_start for s in node.mw.spans):
+                        cut_and_paste(node.mw, pattern)
 
-        def cut(word, spans, pattern, t0, state=None):
-            states.append(state)
+    def test_the_node_api_cuts_and_slacks_read_the_suffix_state(self, monkeypatch):
+        real_cut, real_ladder = construction._cut, construction._ladder
+        seen = Counter()
+        differ = []
+
+        def cut(word, spans, pattern, t0, state):
+            seen["cut"] += 1
+            if state != construction._suffix_state(word, spans, t0, pattern):
+                differ.append(("cut", word, spans, t0, state))
             return real_cut(word, spans, pattern, t0, state)
 
+        def ladder(word, spans, label, pc, state, pattern):
+            seen["ladder"] += pc.kind is PathKind.DELTA_ABOVE
+            if state != scratch_state(word, spans, label, pc, pattern):
+                differ.append(("ladder", word, spans, state))
+            return real_ladder(word, spans, label, pc, state, pattern)
+
         monkeypatch.setattr(construction, "_cut", cut)
-        for node in nodes:
-            expand_node(node, P21)
-        cut_and_paste(MarkedWord("11010", (0,)), P21)
-        assert states and set(states) == {None}
+        monkeypatch.setattr(construction, "_ladder", ladder)
+        self.call_the_node_api()
+        assert differ == []
+        assert min(seen["cut"], seen["ladder"]) > 0, seen
+
+    def test_the_node_api_cuts_without_a_profile(self, monkeypatch):
+        real_cut, real_profile = construction._cut, construction.profile
+        calls = Counter()
+        open_cuts = []
+
+        def cut(*args):
+            calls["cut"] += 1
+            open_cuts.append(None)
+            try:
+                return real_cut(*args)
+            finally:
+                open_cuts.pop()
+
+        def spy(word):
+            calls["profile in a cut" if open_cuts else "profile"] += 1
+            return real_profile(word)
+
+        monkeypatch.setattr(construction, "_cut", cut)
+        monkeypatch.setattr(construction, "profile", spy)
+        self.call_the_node_api()
+        assert calls["profile in a cut"] == 0
+        assert min(calls["cut"], calls["profile"]) > 0, calls
+
+    @pytest.mark.parametrize("knob,value", [("_LINE_SLOPE", 1), ("_LINE_SLOPE", -1), ("_HIGHEST_FIRST", False)])
+    @pytest.mark.parametrize("j,i", [(2, 1), (3, 1)])
+    def test_a_moved_knob_cuts_as_the_reference_scan(self, monkeypatch, knob, value, j, i):
+        real_cut = construction._cut
+        calls = 0
+        differ = []
+
+        def cut(word, spans, pattern, t0, state):
+            nonlocal calls
+            calls += 1
+            got = outcome(real_cut, word, spans, pattern, t0, state)
+            if got != outcome(reference_cut, word, spans, pattern, t0):
+                differ.append((word, spans, t0, got))
+            return real_cut(word, spans, pattern, t0, state)
+
+        monkeypatch.setattr(construction, knob, value)
+        monkeypatch.setattr(construction, "_cut", cut)
+        with suppress(InvariantViolation):  # the alarm tests pin how each knob breaks the run
+            run_levels(Pattern(j, i), 5)
+        assert calls and differ == []
 
 
 class TestNodeInvariants:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import tracemalloc
 from itertools import product
 from math import comb
@@ -263,3 +264,38 @@ class TestCountAvoiding:
                 assert count_avoiding(Pattern(2, 1), n, m) <= count_avoiding(Pattern(3, 1), n, m)
                 assert count_avoiding(Pattern(3, 1), n, m) <= count_avoiding(Pattern(4, 1), n, m)
                 assert count_avoiding(Pattern(3, 1), n, m) <= count_avoiding(Pattern(3, 2), n, m)
+
+
+def holds_the_factor(word: str, j: int, i: int) -> bool:
+    """Whether word holds 1^j 0^i, read off its maximal runs of ones and the
+    zeros right after each: no factor string is built, however large j."""
+    return any(len(ones) >= j and len(zeros) >= i for ones, zeros in re.findall("(1+)(0*)", word))
+
+
+class TestFactorLongerThanTheLevel:
+    """A level with n ones holds no run of j > n ones, so every word of it
+    avoids the factor.  Both oracles answer it without the factor and
+    without the automaton, whose size grows with j, not with the level."""
+
+    @pytest.mark.parametrize("ones", range(1, 7))
+    @pytest.mark.parametrize("far", [False, True], ids=["j=ones+1", "j=10**9"])
+    def test_every_word_of_the_level_avoids_the_factor(self, monkeypatch, ones, far):
+        pattern = Pattern(10**9 if far else ones + 1, 1)
+        words = [
+            word
+            for length in range(ones, 2 * ones + 1)
+            for word in map("".join, product("01", repeat=length))
+            if word.count("1") == ones and not holds_the_factor(word, pattern.j, pattern.i)
+        ]
+
+        def refuse(*args):
+            raise AssertionError("built the factor or its automaton")
+
+        oracle._counts_by_zeros.cache_clear()
+        monkeypatch.setattr(Pattern, "factor", property(refuse))
+        monkeypatch.setattr(oracle, "build_automaton", refuse)
+        assert brute_force(pattern, ones) == sorted(words, key=lambda w: (len(w), w))
+        assert [count_avoiding(pattern, ones, z) for z in range(ones + 1)] == [
+            sum(w.count("0") == z for w in words) for z in range(ones + 1)
+        ]
+        assert level_count(pattern, ones) == len(words) == sum(comb(ones + z, z) for z in range(ones + 1))
