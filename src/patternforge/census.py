@@ -3,11 +3,14 @@
 The words with n ones and z zeros, in lexicographic order ('0' before
 '1'), are ranked 0 .. C(n+z, z) - 1: the combinatorial number system
 (Knuth, TAOCP 7.2.1.3).  A word's rank is a sum of binomials, one per
-1: rank_prefix and unrank read them from one table, _SKIPS, grown on
-demand to the longest word ranked.  The census of level n holds, for each
-zero count z in 0..n, two lists indexed by that rank: the copies of each
-word (plus + minus) and its net (plus - minus).  That is C(2n+1, n) cells
-per list, however many copies they count.
+1: rank_prefix reads them from one table, _SKIPS, grown on demand to
+the longest word ranked.  The other way, from ranks to words, needs no
+table: itertools.combinations(range(n + z), z) yields the zero positions
+of the class's words in lexicographic order, which is rank order, and
+_words spells the ones a mask of ranks selects.  The census of level n
+holds, for each zero count z in 0..n, two lists indexed by that rank: the
+copies of each word (plus + minus) and its net (plus - minus).  That is
+C(2n+1, n) cells per list, however many copies they count.
 
 The words of class (n, z) that begin with a fixed prefix q fill one block
 of ranks, from rank_prefix(q, n, z) on, in the order of their suffixes'
@@ -21,7 +24,7 @@ list.
 from __future__ import annotations
 
 from collections.abc import ItemsView, Iterable, Iterator, Mapping
-from itertools import compress, count, repeat
+from itertools import combinations, compress, repeat
 from math import comb
 from operator import add, eq, mul
 
@@ -30,7 +33,8 @@ __all__ = ["WordCensus"]
 
 # _SKIPS[left][zeros] = C(left - 1, zeros - 1), 0 for zeros = 0: with
 # `left` letters and `zeros` zeros still to place, the number of words
-# that place a 0 next, which a 1 there skips.  Grown on demand by _skips.
+# that place a 0 next, which a 1 there skips.  rank_prefix reads it; it is
+# grown on demand by _skips.
 _SKIPS: list[list[int]] = []
 
 
@@ -56,20 +60,16 @@ def rank_prefix(prefix: str, ones: int, zeros: int) -> int:
     return rank
 
 
-def unrank(rank: int, ones: int, zeros: int) -> str:
-    """The word of that rank among the words with `ones` ones and `zeros` zeros."""
-    skips = _skips(ones + zeros)
-    bits = []
-    while ones and zeros:
-        first_one = skips[ones + zeros][zeros]  # ranks of the words with a 0 here
-        if rank < first_one:
-            bits.append("0")
-            zeros -= 1
-        else:
-            rank -= first_one
-            bits.append("1")
-            ones -= 1
-    return "".join(bits) + "1" * ones + "0" * zeros
+def _words(ones: int, zeros: int, selectors: Iterable[object]) -> Iterator[str]:
+    """The words with `ones` ones and `zeros` zeros whose ranks `selectors`
+    picks (a true item at index r picks rank r), in rank order, each
+    spelled from its zero positions as combinations yields them."""
+    length = ones + zeros
+    for zero_pos in compress(combinations(range(length), zeros), selectors):
+        bits = ["1"] * length
+        for p in zero_pos:
+            bits[p] = "0"
+        yield "".join(bits)
 
 
 def _signed(copies: int, net: int) -> tuple[int, int]:
@@ -152,22 +152,21 @@ class WordCensus(Mapping):
 
     def survivors(self) -> tuple[str, ...]:
         """The words with net (plus - minus) 1, by length and then
-        lexicographically: by zero count, then by rank."""
+        lexicographically: by zero count, then by rank, each spelled by
+        _words from the mask of net-1 cells."""
         ones = self.ones
-        return tuple(
-            unrank(rank, ones, z)
-            for z, net in enumerate(self._net)
-            for rank in compress(count(), map(eq, net, repeat(1)))
-        )
+        return tuple(word for z, net in enumerate(self._net) for word in _words(ones, z, map(eq, net, repeat(1))))
 
     def off_net(self) -> tuple[str, int] | None:
         """(word, net) of the smallest word in string order whose net lies
-        outside {0, 1}, over every zero count; None when there is none."""
+        outside {0, 1}, over every zero count; None when there is none.
+        A zero count whose nets all lie in {0, 1} spells no word."""
         ones = self.ones
         bad = []
         for z, net in enumerate(self._net):
             if not set(net) <= {0, 1}:
-                bad += [(unrank(r, ones, z), d) for r, d in enumerate(net) if d not in (0, 1)]
+                off = [d not in (0, 1) for d in net]
+                bad += zip(_words(ones, z, off), compress(net, off))
         return min(bad) if bad else None
 
 

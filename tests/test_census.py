@@ -1,12 +1,12 @@
-"""Dense census: rank arithmetic, the read-only word census view, the
-level checks it answers."""
+"""Dense census: rank arithmetic, the rank -> word speller, the read-only
+word census view, the level checks it answers."""
 
 from __future__ import annotations
 
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import compress, product, repeat
 from math import comb
 from pathlib import Path
 
@@ -14,19 +14,14 @@ import pytest
 
 from conftest import cached_run
 from patternforge import census
-from patternforge.census import WordCensus, build_census, rank_prefix, unrank
+from patternforge.census import WordCensus, _words, build_census, rank_prefix
 
 
 def class_words(ones: int, zeros: int) -> list[str]:
-    """Every word with `ones` ones and `zeros` zeros, in lexicographic order."""
-    length = ones + zeros
-    words = []
-    for zero_pos in combinations(range(length), zeros):
-        bits = ["1"] * length
-        for p in zero_pos:
-            bits[p] = "0"
-        words.append("".join(bits))
-    return sorted(words)
+    """Every word with `ones` ones and `zeros` zeros, in lexicographic order:
+    product yields every binary word of that length in that order, and the
+    class is those with the right count of ones."""
+    return ["".join(bits) for bits in product("01", repeat=ones + zeros) if bits.count("1") == ones]
 
 
 CLASSES = [(ones, zeros) for ones in range(8) for zeros in range(ones + 1)]
@@ -34,12 +29,11 @@ CLASSES = [(ones, zeros) for ones in range(8) for zeros in range(ones + 1)]
 
 class TestRank:
     @pytest.mark.parametrize("ones,zeros", CLASSES)
-    def test_rank_and_unrank_round_trip(self, ones, zeros):
+    def test_a_words_rank_is_its_place_in_lexicographic_order(self, ones, zeros):
         words = class_words(ones, zeros)
         assert len(words) == comb(ones + zeros, zeros)
         for rank, word in enumerate(words):
             assert rank_prefix(word, ones, zeros) == rank
-            assert unrank(rank, ones, zeros) == word
 
     @pytest.mark.parametrize("ones,zeros", [(n, z) for n, z in CLASSES if n <= 6])
     def test_a_prefix_fills_one_block_in_its_suffixes_rank_order(self, ones, zeros):
@@ -83,16 +77,14 @@ BIG_CLASSES = [(ones, zeros) for ones in range(35) for zeros in range(35)]
 
 
 class TestRankTable:
-    """rank_prefix and unrank read one table of binomials, grown on demand;
-    they must equal the binomials themselves, in any order of growth."""
+    """rank_prefix reads one table of binomials, grown on demand; its ranks
+    must equal the binomials themselves, in any order of growth."""
 
     def check_classes(self, classes: list[tuple[int, int]]) -> None:
         rng = random.Random(19)
         for ones, zeros in classes:
             for word in sample_words(ones, zeros, rng):
-                rank = reference_rank(word, ones, zeros)
-                assert rank_prefix(word, ones, zeros) == rank, (word, ones, zeros)
-                assert unrank(rank, ones, zeros) == word, (rank, ones, zeros)
+                assert rank_prefix(word, ones, zeros) == reference_rank(word, ones, zeros), (word, ones, zeros)
                 for cut in (1, len(word) // 2):  # a prefix starts the block of its words
                     assert rank_prefix(word[:cut], ones, zeros) == reference_rank(word[:cut], ones, zeros)
 
@@ -112,6 +104,30 @@ class TestRankTable:
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=src, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestWords:
+    """_words spells the words of a class whose ranks a mask selects, in
+    rank order; class_words shares no idea with it."""
+
+    @pytest.mark.parametrize("ones", range(9))
+    def test_every_word_of_every_class_in_rank_order(self, ones):
+        for zeros in range(ones + 1):
+            assert list(_words(ones, zeros, repeat(True))) == class_words(ones, zeros), (ones, zeros)
+
+    @pytest.mark.parametrize("ones,zeros", [(0, 0), (5, 0), (0, 1), (0, 4)])
+    def test_classes_without_ones_or_without_zeros(self, ones, zeros):
+        assert list(_words(ones, zeros, repeat(True))) == class_words(ones, zeros)
+
+    @pytest.mark.parametrize("ones", range(9))
+    def test_a_mask_picks_its_ranks(self, ones):
+        rng = random.Random(ones)
+        for zeros in range(ones + 1):
+            words = class_words(ones, zeros)
+            assert list(_words(ones, zeros, [False] * len(words))) == []
+            for density in (0.05, 0.5, 0.95):
+                mask = [rng.random() < density for _ in words]
+                assert list(_words(ones, zeros, mask)) == list(compress(words, mask)), (ones, zeros, density)
 
 
 def census_of(ones: int, cells: dict[str, tuple[int, int]]) -> WordCensus:
@@ -184,3 +200,26 @@ class TestLevelChecks:
         ]:
             census = build_census(2, {}, [({"10": cell}, below)])
             assert dict(census.items()) == expected
+
+
+class TestTwoSpellers:
+    """survivors and off_net spell words with _words; items spells them by
+    walking the trie.  On random censuses the two must name the same words."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("nets", [range(-2, 3), range(2)], ids=["nets-2..2", "nets0..1"])
+    def test_survivors_and_off_net_equal_the_trie_walk(self, seed, nets):
+        rng = random.Random(seed)
+        ones = rng.randint(1, 6)
+        cells = {}
+        for zeros in rng.sample(range(ones + 1), rng.randint(2, ones + 1)):
+            words = class_words(ones, zeros)
+            for word in rng.sample(words, rng.randint(1, len(words))):
+                net, both = rng.choice(nets), rng.randint(0, 2)
+                cells[word] = [max(net, 0) + both, max(-net, 0) + both]
+        census = build_census(ones, cells)
+        nets_read = {word: p - m for word, (p, m) in census.items()}
+        survivors = sorted((w for w, d in nets_read.items() if d == 1), key=lambda w: (len(w), w))
+        assert census.survivors() == tuple(survivors)
+        assert census.off_net() == min(((w, d) for w, d in nets_read.items() if d not in (0, 1)), default=None)
+        assert (census.off_net() is None) == (nets == range(2))

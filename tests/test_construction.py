@@ -1135,6 +1135,13 @@ class TestClusterLabelCensus:
             shortfall.append(sum(m for _, m in want.values()) - sum(m for _, m in rep.label_census.values()))
         assert shortfall == self.MINUS_SHORTFALL[ji]
 
+    def test_the_alarm_fires_at_the_first_plus_shortfall(self):
+        """(4,1) runs to 8 ones without an alarm; at 9, where a plus copy
+        first goes missing, off_net names the smallest word off {0, 1}."""
+        with pytest.raises(NetOutOfRange) as err:
+            run_levels(P41, 9)
+        assert (err.value.word, err.value.level, err.value.net) == ("00001011110011110", 9, -1)
+
     @pytest.mark.parametrize("j,i", DIFFERENTIAL_PATTERNS)
     def test_every_missing_copy_marks_a_single_occurrence_below_the_axis(self, j, i):
         """Copy by copy: a word with occurrences C needs one copy per subset S
