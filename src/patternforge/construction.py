@@ -93,16 +93,19 @@ order of a level-by-level run.  Only the lineages of a NetOutOfRange come
 from a second walk, which checks nothing and runs only once a level has
 failed.
 
-Each copy is classified at most once.  A plain-append child inherits its
-class (and suffix start) from its parent, since the appended steps never
-touch the axis before the endpoint; only children built by a cut are
-rescanned, and only those above the axis: a word that ends on the axis is
-DELTA_ON_AXIS whatever its spans, and such a copy above the root is never
-expanded.  The class tallies of a level are read from its census: its
-label-0 copies are DELTA_ON_AXIS, the walk counts the gamma copies (and
-each return repeats those of the level it grows), and every other copy
-is DELTA_ABOVE.  run_levels never builds a child past max_ones, and every
-jump-j family that is built passes its label multiset check.
+Each copy is classified at most once, and the walk builds a class only
+for a copy it will expand.  A plain-append child above the axis inherits
+its class (and suffix start) from its parent, since the appended steps
+never touch the axis before the endpoint; only children built by a cut
+are rescanned, and only those above the axis.  A copy that ends on the
+axis carries no class: it is DELTA_ON_AXIS whatever its spans, and such a
+copy above the root is never expanded.  A TreeNode carries no class
+either, so the node API classifies its input.  The class tallies of a
+level are read from its census: its label-0 copies are DELTA_ON_AXIS,
+the walk counts the gamma copies (and each return repeats those of the
+level it grows), and every other copy is DELTA_ABOVE.  run_levels never
+builds a child past max_ones, and every jump-j family that is built
+passes its label multiset check.
 """
 
 from __future__ import annotations
@@ -187,13 +190,15 @@ class NetOutOfRange(InvariantViolation):
 
 @dataclass(frozen=True, slots=True)
 class TreeNode:
+    """One copy of the tree: its marked word, label (endpoint ordinate),
+    sign, level (rise steps) and lineage of production tags.  It carries no
+    class: the node API classifies a node when it expands it."""
+
     mw: MarkedWord
     label: int
     parity: int  # +1 or -1
     level: int
     provenance: tuple[str, ...] = ()
-    # Expansion class inherited from the parent; None means "rescan".
-    path_class: PathClass | None = field(default=None, compare=False, repr=False)
 
     @property
     def sort_key(self) -> tuple[str, tuple[int, ...], int]:
@@ -209,7 +214,8 @@ _GAMMA, _ON_AXIS, _ABOVE = PathKind.GAMMA, PathKind.DELTA_ON_AXIS, PathKind.DELT
 _State = tuple[int, int, int, int | None]
 
 # A checked child, before any node is built for it:
-# (word, spans, label, parity, tag, path_class, state).
+# (word, spans, label, parity, tag, class, state); the class is None for a
+# child that ends on the axis or is built by a cut.
 _Kid = tuple[str, tuple[int, ...], int, int, str, PathClass | None, _State | None]
 
 
@@ -228,23 +234,16 @@ def _missigned(parity: int, spans: tuple[int, ...], word: str) -> InvariantViola
 def _fields(node: TreeNode, pattern: Pattern) -> tuple[str, tuple[int, ...], int, int, PathClass, _State]:
     """(word, spans, label, parity, class, state): a node as its productions
     read it, with its class and state from _scan."""
-    return node.mw.word, node.mw.spans, node.label, node.parity, *_scan(node.mw, node.label, pattern, node.path_class)
+    return node.mw.word, node.mw.spans, node.label, node.parity, *_scan(node.mw, node.label, pattern)
 
 
 def _nodes(parent: TreeNode, level: int, kids: list[_Kid]) -> list[TreeNode]:
     """The tree nodes of `parent`'s kids at `level`."""
     lineage = parent.provenance
     return [
-        TreeNode(MarkedWord(word, spans), label, parity, level, lineage + (tag,), pc)
-        for word, spans, label, parity, tag, pc, _ in kids
+        TreeNode(MarkedWord(word, spans), label, parity, level, lineage + (tag,))
+        for word, spans, label, parity, tag, _, _ in kids
     ]
-
-
-@cache
-def _on_axis(start: int) -> PathClass:
-    """The class of a copy that ends on the axis, whose rightmost eligible
-    axis point before its endpoint is start: one shared object per start."""
-    return PathClass(_ON_AXIS, start)
 
 
 def _append_start(word: str, label: int, pc: PathClass) -> int:
@@ -293,11 +292,11 @@ def _suffix_state(word: str, spans: tuple[int, ...], t0: int, pattern: Pattern) 
     return prof[z], t0 + z, h, hstar
 
 
-def _scan(mw: MarkedWord, label: int, pattern: Pattern, pc: PathClass | None = None) -> tuple[PathClass, _State]:
-    """The class of a copy, classified here when pc is None, and its state
-    from its append start, read off one profile: what a copy reads when no
-    state is carried to it."""
-    pc = pc or classify(mw, pattern)
+def _scan(mw: MarkedWord, label: int, pattern: Pattern) -> tuple[PathClass, _State]:
+    """The class of a copy, from classify, and its state from its append
+    start, read off one profile: what a copy reads when nothing is carried
+    to it."""
+    pc = classify(mw, pattern)
     return pc, _suffix_state(mw.word, mw.spans, _append_start(mw.word, label, pc), pattern)
 
 
@@ -318,11 +317,11 @@ def _appends(
     _tail extends from the copy's.
 
     The appended steps stay strictly above the axis until the endpoint, so
-    the label-0 child ends on the axis behind the parent's suffix start (or
-    endpoint, when that is on the axis); a child above the axis keeps the
-    parent's class, or starts a fresh above-axis suffix at the parent's
-    endpoint when the parent ends on the axis.  A new span peaks at k + j.
-    Every child is checked against its label and its sign.
+    a child above the axis keeps the parent's class, or starts a fresh
+    above-axis suffix at the parent's endpoint when the parent ends on the
+    axis.  The label-0 child ends on the axis and is never expanded, so it
+    carries no class (None).  A new span peaks at k + j.  Every child is
+    checked against its label and its sign.
     """
     top_state, fallen = family
     if jump == 1:
@@ -330,7 +329,6 @@ def _appends(
     else:
         head, top, spans, parity = word + pattern.factor, label + pattern.j - pattern.i, spans + (len(word),), -parity
     sign = 1 if len(spans) % 2 == 0 else -1
-    on_axis = _on_axis(_append_start(word, label, pc))
     above = PathClass(_ABOVE, len(word)) if label == 0 else pc
     out = []
     for y, child_tag in enumerate(_tags(tag, top)):
@@ -339,7 +337,7 @@ def _appends(
             raise _mislabelled(y, child)
         if parity != sign:
             raise _missigned(parity, spans, child)
-        out.append((child, spans, y, parity, child_tag, above if y else on_axis, fallen if y < top else top_state))
+        out.append((child, spans, y, parity, child_tag, above if y else None, fallen if y < top else top_state))
     return out
 
 
@@ -467,17 +465,15 @@ def _jump1(
     t0 = _append_start(word, label, pc)  # rightmost eligible axis point of grown
     if spans and spans[-1] >= t0:
         repaired, repaired_spans = _cut(grown, spans, pattern, t0, family[1])[:2]
-        repaired_pc = None
     else:
         # the suffix is span-free and above the axis; flipped, it returns
         # to the axis only at the new endpoint
         repaired, repaired_spans = grown[:t0] + complement(grown[t0:]) + "1", spans
-        repaired_pc = _on_axis(t0)
     if height(repaired) != 0:
         raise _mislabelled(0, repaired)
     if parity != (1 if len(repaired_spans) % 2 == 0 else -1):
         raise _missigned(parity, repaired_spans, repaired)
-    out.append((repaired, repaired_spans, 0, parity, "up:axis", repaired_pc, None))
+    out.append((repaired, repaired_spans, 0, parity, "up:axis", None, None))
     return out
 
 
@@ -567,8 +563,7 @@ def delta_jump1(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
 def delta_jumpj(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
     """The jump-j children of a delta node: 1+k+j-i marked appends (labels
     k+j-i down to 0) plus, for each y in [k+a, k+j-i-1], one cut-and-pasted
-    child and its longer-falling copies.  Verifies the label multiset.
-    The marked appends carry their class; the cut children are rescanned."""
+    child and its longer-falling copies.  Verifies the label multiset."""
     return _nodes(node, node.level + pattern.j, _jumpj(*_fields(node, pattern), pattern))
 
 
@@ -685,7 +680,7 @@ def _walk(
     tallies[0].copies[""] = [1, 0]  # no production makes the root: count it here
     if keep is not None and keep(""):
         tallies[0].kept.append(TreeNode(MarkedWord(""), 0, 1, 0))
-    stack = [("", (), 0, 1, 0, (), _on_axis(0), (0, 0, 0, None))] if max_ones else []
+    stack = [("", (), 0, 1, 0, (), PathClass(_ON_AXIS, 0), (0, 0, 0, None))] if max_ones else []
     push = stack.append
     while stack:
         word, spans, label, parity, level, lineage, pc, state = stack.pop()
@@ -704,8 +699,7 @@ def _walk(
                     cell = copies[word] = [0, 0]
                 cell[parity < 0] += 1
                 if keep is not None and keep(word):
-                    kept = TreeNode(MarkedWord(word, spans), label, parity, n, _provenance((lineage, tag)), pc)
-                    here.kept.append(kept)
+                    here.kept.append(TreeNode(MarkedWord(word, spans), label, parity, n, _provenance((lineage, tag))))
                 if not label:  # DELTA_ON_AXIS: an axis return, never expanded
                     continue
                 if pc is None:  # built by a cut
@@ -728,15 +722,11 @@ def _walk(
 
 def _behind(q: TreeNode, node: TreeNode) -> TreeNode:
     """`node`, a node of the root's tree, as it grows behind the axis return
-    q: q's word in front, spans and class shifted past it, signs multiplied,
-    q's lineage in front."""
+    q: q's word in front, spans shifted past it, signs multiplied, q's
+    lineage in front."""
     shift = len(q.mw.word)
-    pc = node.path_class
-    if pc is not None:
-        span = pc.qualifying_span
-        pc = PathClass(pc.kind, pc.suffix_start + shift, None if span is None else span + shift)
     mw = MarkedWord(q.mw.word + node.mw.word, q.mw.spans + tuple(s + shift for s in node.mw.spans))
-    return TreeNode(mw, node.label, q.parity * node.parity, q.level + node.level, q.provenance + node.provenance, pc)
+    return TreeNode(mw, node.label, q.parity * node.parity, q.level + node.level, q.provenance + node.provenance)
 
 
 def _lineages(pattern: Pattern, word: str) -> tuple[tuple[str, ...], ...]:
@@ -778,10 +768,11 @@ def run_levels(
     return _run(pattern, max_ones, (lambda w: True) if keep_nodes else None)
 
 
-def _run(pattern: Pattern, max_ones: int, keep: Callable[[str], bool] | None) -> RunResult:
+def _run(pattern: Pattern, max_ones: int, keep: Callable[[str], bool] | None, *, spell: bool = True) -> RunResult:
     """run_levels and copies_of: one walk to max_ones (see _walk), then
     each level spliced, checked and reported in turn, with the nodes keep
-    accepts in node order whenever keep is given."""
+    accepts in node order whenever keep is given.  Without spell, a
+    report's survivors are left empty: copies_of never reads them."""
     tallies, failure = _walk(pattern, max_ones, keep)
     reports: list[LevelReport] = []
     returns: list[dict[str, list[int]]] = []  # per level, its walked copies that end on the axis
@@ -807,7 +798,7 @@ def _run(pattern: Pattern, max_ones: int, keep: Callable[[str], bool] | None) ->
                 n,
                 labels,
                 census,
-                census.survivors(),
+                census.survivors() if spell else (),
                 {kind.value: classes[kind] for kind in PathKind if classes[kind]},
                 tuple(sorted(tally.kept, key=_node_order)) if keep is not None else None,
             )
@@ -848,4 +839,4 @@ def copies_of(pattern: Pattern, word: str, *, budget: int = DEFAULT_BUDGET) -> l
     `budget` BudgetExceeded (as in run_levels), before the walk."""
     _check_binary(word)
     _check_levels(word.count("1"), budget)
-    return collect_copies(_run(pattern, word.count("1"), lambda w: w in word), word)
+    return collect_copies(_run(pattern, word.count("1"), lambda w: w in word, spell=False), word)

@@ -58,14 +58,15 @@ def verify_pattern(
         n = rep.level
         expected = brute_force(pattern, n, budget=budget)
         divs = []
-        got = set(rep.survivors)
-        want = set(expected)
-        for w in sorted(want - got, key=lambda w: (len(w), w)):
-            divs.append(f"level {n}: missing survivor {w!r}")
-        for w in sorted(got - want, key=lambda w: (len(w), w)):
-            divs.append(f"level {n}: extra survivor {w!r}")
-        if rep.survivors != tuple(expected) and not divs:
-            divs.append(f"level {n}: survivor ordering differs")
+        if rep.survivors != tuple(expected):
+            got = set(rep.survivors)
+            want = set(expected)
+            for w in sorted(want - got, key=lambda w: (len(w), w)):
+                divs.append(f"level {n}: missing survivor {w!r}")
+            for w in sorted(got - want, key=lambda w: (len(w), w)):
+                divs.append(f"level {n}: extra survivor {w!r}")
+            if not divs:
+                divs.append(f"level {n}: survivor ordering differs")
         for k in range(n + 1):
             want_net = count_avoiding(pattern, n, n - k)
             got_net = rep.label_net(k)

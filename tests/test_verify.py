@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from patternforge import verify
 from patternforge.construction import run_levels
 from patternforge.verify import verify_pattern
 from patternforge.words import Pattern
@@ -45,3 +46,18 @@ class TestDivergences:
         report = self.with_level_3_survivors(lambda words: words[::-1])
         assert not report.ok
         assert report.divergences() == ["level 3: survivor ordering differs"]
+
+
+def test_survivor_sets_are_built_only_for_a_level_whose_tuples_differ(monkeypatch):
+    built = []
+
+    def spy(items=()):
+        built.append(items)
+        return set(items)
+
+    monkeypatch.setattr(verify, "set", spy, raising=False)
+    assert verify_pattern(P21, 6).ok
+    assert built == []  # a passing run builds no set
+    report = TestDivergences.with_level_3_survivors(lambda words: words[1:])
+    assert report.divergences() == ["level 3: missing survivor '111'"]
+    assert len(built) == 2  # level 3's survivors and brute_force's
