@@ -14,10 +14,19 @@ Two routes that share no code with the tree construction:
   driven by the factor's match automaton.  Its transitions come straight
   from their definition: state s has matched the first s letters of the
   factor, and reading c leads to the longest factor prefix that ends
-  factor[:s] + c.  The sweep steps once per zero count: a fall from the
-  rows of the zero count before, then a rise within the new rows.  It
-  yields the counts for every fall count at once; that row is memoised
-  per (pattern, ones), so the calls for the labels of one level share it.
+  factor[:s] + c.  Cell (o, z) of its grid is a fall from cell (o, z-1)
+  plus a rise from cell (o-1, z).  Each pattern has one square of that
+  grid, grown a side at a time across calls: a new column of falls from
+  the old one, then a new row of rises from the old one.  Only the
+  square's last row and last column are held, and a request is read off
+  the edge at its size, so requests that climb level by level, as
+  `verify` and the rule census checks make them, build each cell once.
+  The sums of the last 256 edges are kept; a smaller request whose edge
+  is no longer kept regrows the square from the empty word.
+
+The cluster method (Goulden and Jackson 1979) gives a third count that
+shares no code with either route: `cluster_census` sums the marked copies
+of the words with given step counts by sign.
 
 A level with fewer than j ones holds no run of j ones, so every word of it
 avoids the factor: both routes answer it without building the factor or
@@ -38,6 +47,7 @@ __all__ = [
     "FactorAutomaton",
     "build_automaton",
     "brute_force",
+    "cluster_census",
     "count_avoiding",
     "level_count",
     "DEFAULT_BUDGET",
@@ -46,6 +56,8 @@ __all__ = [
 DEFAULT_BUDGET = 10**7
 
 _SLICE = 4096  # words of a source cell that brute_force releases at a time
+
+_Moves = tuple[tuple[int, int], ...]  # (live state, live state it moves to on one bit)
 
 
 class BudgetExceeded(Exception):
@@ -149,50 +161,126 @@ def brute_force(pattern: Pattern, ones: int, budget: int = DEFAULT_BUDGET) -> li
     return words
 
 
+def _line(old: list[list[int]], first: _Moves, along: _Moves, dead: int) -> list[list[int]]:
+    """One new edge of the square, a cell per cell of the old edge `old`:
+    that cell pushed through the moves `first`, plus the cell built just
+    before it pushed through `along`.  A push adds the words of live state
+    s to state t for each move (s, t); moves into the dead state are left
+    out of both tuples."""
+    line: list[list[int]] = []
+    prev = None
+    for source in old:
+        cell = [0] * dead
+        for s, t in first:
+            cell[t] += source[s]
+        if prev is not None:
+            for s, t in along:
+                cell[t] += prev[s]
+        line.append(cell)
+        prev = cell
+    return line
+
+
+class _Square:
+    """The DP grid of one pattern, grown a square at a time.  Cell (o, z)
+    counts the avoiding words with o ones and z zeros by the live state
+    they end in; it is cell (o, z-1) with a 0 appended plus cell (o-1, z)
+    with a 1 appended.  Only the edge of the square of side `size` is held:
+    `row`, the cells (size, z), and `col`, the cells (o, size), for z and o
+    in 0..size, so memory grows with the size, not with its square."""
+
+    __slots__ = ("dead", "falls", "rises", "size", "row", "col")
+
+    def __init__(self, pattern: Pattern) -> None:
+        aut = build_automaton(pattern)
+        self.dead = aut.dead  # live states 0..dead-1
+        live = aut.transitions[: aut.dead]
+        self.falls, self.rises = (
+            tuple((s, moves[bit]) for s, moves in enumerate(live) if moves[bit] != aut.dead) for bit in (0, 1)
+        )
+        self._seed()
+
+    def _seed(self) -> None:
+        cell = [0] * self.dead
+        cell[0] = 1  # the empty word
+        self.size, self.row, self.col = 0, [cell], [cell]
+
+    def grow_to(self, size: int) -> None:
+        """Hold the edge of the square of side `size`.  A smaller square
+        than the one held is regrown from the empty word."""
+        if size < self.size:
+            self._seed()
+        while self.size < size:
+            # column z = size+1: a fall from the old column, then a rise
+            # from the cell below; row o = size+1: a rise from the old row
+            # and the new column's top cell, then a fall from the left
+            col = _line(self.col, self.falls, self.rises, self.dead)
+            self.row = _line(self.row + col[-1:], self.rises, self.falls, self.dead)
+            self.col = col + self.row[-1:]
+            self.size += 1
+
+
+@lru_cache(maxsize=16)
+def _square(pattern: Pattern) -> _Square:
+    return _Square(pattern)
+
+
 @lru_cache(maxsize=256)
-def _counts_by_zeros(pattern: Pattern, ones: int, width: int) -> tuple[int, ...]:
-    """count_avoiding(pattern, ones, z) for every z in 0..width, from one
-    sweep of the DP over the zeros.  rows[o][s] counts the avoiding words
-    with o ones and the current zero count that end in live state s.  The
-    empty word seeds zero count 0; each later zero count is a fall from the
-    rows of the one before, and every zero count then rises row by row.
-    With fewer than j ones every word avoids the factor, so the counts are
-    the binomials C(ones + z, z), and no automaton is built: it has j + i
-    states, which may be far more than the words have letters."""
-    if pattern.j > ones:
-        return tuple(comb(ones + z, z) for z in range(width + 1))
-    aut = build_automaton(pattern)
-    moves, dead = aut.transitions, aut.dead  # live states 0..dead-1
+def _edge_sums(pattern: Pattern, size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The counts on the edge of the square of side `size`: the row,
+    count_avoiding(pattern, size, z) for z in 0..size, and the column,
+    count_avoiding(pattern, o, size) for o in 0..size."""
+    square = _square(pattern)
+    square.grow_to(size)
+    return tuple(map(sum, square.row)), tuple(map(sum, square.col))
 
-    def push(source: list[int], target: list[int], bit: int) -> None:
-        for s, c in enumerate(source):
-            if c:
-                s2 = moves[s][bit]
-                if s2 != dead:
-                    target[s2] += c
 
-    by_zeros = []
-    for z in range(width + 1):
-        new = [[0] * dead for _ in range(ones + 1)]
-        if z:
-            for old_row, new_row in zip(rows, new):
-                push(old_row, new_row, 0)
-        else:
-            new[0][0] = 1  # the empty word
-        for o in range(ones):
-            push(new[o], new[o + 1], 1)
-        rows = new
-        by_zeros.append(sum(rows[ones]))
-    return tuple(by_zeros)
+def _clear_counts() -> None:
+    """Forget every held square and edge, so the next count starts from the
+    empty word."""
+    _edge_sums.cache_clear()
+    _square.cache_clear()
 
 
 def count_avoiding(pattern: Pattern, ones: int, zeros: int) -> int:
-    """Exact number of avoiding words with the given step counts."""
+    """Exact number of avoiding words with the given step counts.
+
+    The count is read off the edge of the pattern's square at side
+    max(ones, zeros): its row when ones is the larger, its column
+    otherwise.  Requests that climb in size grow one square across calls,
+    each cell built once.  With fewer than j ones every word avoids the
+    factor, so the count is the binomial C(ones + zeros, zeros), and no
+    automaton is built: it has j + i states, which may be far more than
+    the words have letters."""
     if ones < 0 or zeros < 0:
         return 0
-    return _counts_by_zeros(pattern, ones, max(ones, zeros))[zeros]
+    if pattern.j > ones:
+        return comb(ones + zeros, zeros)
+    row, col = _edge_sums(pattern, max(ones, zeros))
+    return row[zeros] if ones >= zeros else col[ones]
 
 
 def level_count(pattern: Pattern, ones: int) -> int:
     """Total avoiding words with exactly `ones` rises over all legal fall counts."""
-    return sum(_counts_by_zeros(pattern, ones, ones)) if ones >= 0 else 0
+    if ones < 0:
+        return 0
+    if pattern.j > ones:
+        return sum(comb(ones + z, z) for z in range(ones + 1))
+    return sum(_edge_sums(pattern, ones)[0])
+
+
+def cluster_census(j: int, i: int, ones: int, zeros: int) -> tuple[int, int]:
+    """(plus, minus) copies of the words with `ones` ones and `zeros` zeros
+    by the cluster method (Goulden and Jackson 1979): 1^j 0^i cannot overlap
+    itself, so a copy marking m occurrences is a word of a = ones + zeros -
+    (j+i-1)m letters, m of them marked factors, with sign (-1)^m.  Their
+    difference is the number of words that avoid the factor."""
+    plus = minus = 0
+    for m in range(min(ones // j, zeros // i) + 1):
+        a = ones + zeros - (j + i - 1) * m
+        copies = comb(a, m) * comb(a - m, ones - j * m)
+        if m % 2:
+            minus += copies
+        else:
+            plus += copies
+    return plus, minus

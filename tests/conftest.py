@@ -6,7 +6,6 @@ import io
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
-from math import comb
 
 import pytest
 
@@ -97,23 +96,6 @@ def expected_word_census(pattern: Pattern, ones: int) -> dict[str, tuple[int, in
             c = len(occurrences(word, pattern))
             census[word] = (1, 0) if c == 0 else (2 ** (c - 1), 2 ** (c - 1))
     return census
-
-
-def cluster_census(j: int, i: int, ones: int, zeros: int) -> tuple[int, int]:
-    """(plus, minus) copies of the words with `ones` ones and `zeros` zeros
-    by the cluster method (Goulden and Jackson 1979): 1^j 0^i cannot overlap
-    itself, so a copy marking m occurrences is a word of a = ones + zeros -
-    (j+i-1)m letters, m of them marked factors, with sign (-1)^m.  Their
-    difference is the number of words that avoid the factor."""
-    plus = minus = 0
-    for m in range(min(ones // j, zeros // i) + 1):
-        a = ones + zeros - (j + i - 1) * m
-        copies = comb(a, m) * comb(a - m, ones - j * m)
-        if m % 2:
-            minus += copies
-        else:
-            plus += copies
-    return plus, minus
 
 
 def drop_last_mark_child(appends):

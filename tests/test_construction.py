@@ -17,7 +17,6 @@ from conftest import (
     CLEAN_PATTERNS,
     DIFFERENTIAL_PATTERNS,
     cached_run,
-    cluster_census,
     drop_last_mark_child,
     expected_word_census,
 )
@@ -43,7 +42,7 @@ from patternforge.construction import (
 )
 from patternforge import construction
 from patternforge.census import WordCensus
-from patternforge.oracle import BudgetExceeded, brute_force
+from patternforge.oracle import BudgetExceeded, brute_force, cluster_census
 from patternforge.words import MarkedWord, PathClass, PathKind, Pattern, classify, height, occurrences, profile
 
 P21 = Pattern(2, 1)

@@ -11,12 +11,13 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import DIFFERENTIAL_PATTERNS, cluster_census
+from conftest import DIFFERENTIAL_PATTERNS
 from patternforge import oracle
 from patternforge.oracle import (
     BudgetExceeded,
     brute_force,
     build_automaton,
+    cluster_census,
     count_avoiding,
     level_count,
 )
@@ -214,8 +215,39 @@ class TestCountAvoiding:
             random.Random(4).shuffle(cells)
         else:
             cells.reverse()
-        oracle._counts_by_zeros.cache_clear()
+        oracle._clear_counts()
         assert {cell: count_avoiding(*cell) for cell in cells} == want
+
+    def test_ascending_levels_build_each_cell_once(self, monkeypatch):
+        """Every label of levels 0..40, lowest level first, builds one
+        square of side 40: 41 * 41 cells, the empty word's seed included.
+        A lower level asked for afterwards comes from the held edge sums,
+        or, once those are forgotten, from a square regrown from the seed."""
+        built = []
+        line, seed = oracle._line, oracle._Square._seed
+
+        def counted_line(*args):
+            cells = line(*args)
+            built.append(len(cells))
+            return cells
+
+        def counted_seed(square):
+            built.append(1)
+            seed(square)
+
+        monkeypatch.setattr(oracle, "_line", counted_line)
+        monkeypatch.setattr(oracle._Square, "_seed", counted_seed)
+        oracle._clear_counts()
+        counts = {(n, z): count_avoiding(P32, n, z) for n in range(41) for z in range(n + 1)}
+        assert sum(built) == 41 * 41
+        assert counts[(40, 17)] == per_call_count(P32, 40, 17)
+        want = [per_call_count(P32, 17, z) for z in range(18)]
+        built.clear()
+        assert [count_avoiding(P32, 17, z) for z in range(18)] == want
+        assert sum(built) == 0
+        oracle._edge_sums.cache_clear()
+        assert [count_avoiding(P32, 17, z) for z in range(18)] == want
+        assert sum(built) == 18 * 18
 
     @pytest.mark.parametrize("ji", SWEEP_PATTERNS)
     def test_level_count_is_the_sum_of_its_row(self, ji):
@@ -291,7 +323,7 @@ class TestFactorLongerThanTheLevel:
         def refuse(*args):
             raise AssertionError("built the factor or its automaton")
 
-        oracle._counts_by_zeros.cache_clear()
+        oracle._clear_counts()
         monkeypatch.setattr(Pattern, "factor", property(refuse))
         monkeypatch.setattr(oracle, "build_automaton", refuse)
         assert brute_force(pattern, ones) == sorted(words, key=lambda w: (len(w), w))

@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cluster_census
-from patternforge.oracle import count_avoiding
+from patternforge.oracle import cluster_census, count_avoiding
 from patternforge.succession import (
     Affine,
     Atom,
