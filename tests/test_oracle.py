@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 import re
+import resource
 import tracemalloc
+from contextlib import contextmanager
 from itertools import product
 from math import comb
 
@@ -118,20 +120,75 @@ class TestBruteForce:
         for n in range(-1, 10):
             assert brute_force(pattern, n) == depth_first(pattern, n), (ji, n)
 
+    @pytest.mark.parametrize(
+        "ji, n",
+        [((2, 1), 10), ((2, 1), 11), ((3, 2), 11), ((4, 1), 10), ((6, 1), 11), ((6, 5), 10)],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_equals_the_depth_first_walk_across_the_seam(self, ji, n):
+        """Levels past the sweep above, odd and even.  With j = 6 above the
+        left half's 5 ones, every occurrence crosses the seam."""
+        pattern = Pattern(*ji)
+        assert brute_force(pattern, n) == depth_first(pattern, n)
+
+    def test_builds_no_grid_row_above_half_the_level(self, monkeypatch):
+        rows = []
+        next_row = oracle._next_row
+
+        def spy(row, tail):
+            new = next_row(row, tail)
+            rows.append(max(w.count("1") for cell in new for w in cell))
+            return new
+
+        monkeypatch.setattr(oracle, "_next_row", spy)
+        for n in range(11):
+            rows.clear()
+            brute_force(P32, n)
+            assert rows == list(range(1, (n + 1) // 2 + 1)), n
+
+    @pytest.mark.parametrize("ones", [7, 8])
+    def test_allocates_nothing_sized_by_j(self, ones):
+        """With j = 10**9 the enumeration peaks where it does at j = ones + 1,
+        within a megabyte; a table with j entries would need gigabytes."""
+        with address_space_cap(2**29):
+            _, peak = traced_peak(lambda: brute_force(Pattern(10**9, 1), ones))
+        assert peak < traced_peak(lambda: brute_force(Pattern(ones + 1, 1), ones))[1] + 2**20
+
     def test_peak_memory_stays_near_the_output(self):
-        """The grid releases each source cell in slices as it builds the
-        target, so no cell is held twice.  Measured: 1.04 (a full source
-        cell held while its target is built: 1.34; the depth-first walk:
-        1.00)."""
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            words = brute_force(P41, 10)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        """The half-levels and their seam cells are small next to the
+        output, whose words are each built once.  Measured: 1.067 (the
+        depth-first walk: 1.00)."""
+        (words, held), peak = traced_peak(lambda: brute_force(P41, 10))
         assert len(words) == level_count(P41, 10)
-        assert peak - base <= 1.2 * (held - base)
+        assert peak <= 1.2 * held
+
+
+@contextmanager
+def address_space_cap(extra: int):
+    """Cap this process's address space at its current size plus extra
+    bytes, so that an allocation far beyond what the work needs raises
+    MemoryError instead of exhausting the machine."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as f:
+        cap = int(f.read().split()[0]) * resource.getpagesize() + extra
+    resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def traced_peak(call):
+    """((result, bytes it holds), peak bytes while it was built), both
+    counted from the traced memory before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (result, held - base), peak - base
 
 
 def depth_first(pattern: Pattern, ones: int) -> list[str]:
