@@ -44,8 +44,7 @@ profile, and every check on t, z and the cut word still runs.  One state
 source serves every caller: the walk carries each copy's state on its
 stack, and what has none carried (the node API, cut_and_paste, compute_a,
 and a cut child above the axis, which the walk rescans) reads it off one
-profile of its phi (_suffix_state; with its class, _scan).  _cut scans
-phi only when a cut-geometry knob is moved.
+profile of its phi (_suffix_state; with its class, _scan).
 
 Each plus/minus copy of a word corresponds to one subset of its factor
 occurrences; per level, net = plus - minus is 1 for avoiding words and 0
@@ -384,12 +383,6 @@ def compute_a(mw: MarkedWord, pattern: Pattern) -> int:
     return _ladder(mw.word, mw.spans, label, *_scan(mw, label, pattern), pattern)[0]
 
 
-# Arbitration knobs for the cut geometry; the differential suite (verify
-# against the oracles) pins both: horizontal line, highest point first.
-_LINE_SLOPE = 0
-_HIGHEST_FIRST = True
-
-
 def _cut(
     word: str, spans: tuple[int, ...], pattern: Pattern, t0: int, state: _State
 ) -> tuple[str, tuple[int, ...], int, int, int]:
@@ -398,10 +391,9 @@ def _cut(
     positions in word) and z's ordinate.  spans are sorted, as every span
     tuple of the tree is.
 
-    Under the default geometry z is the state's point: t, checked not to
-    lie strictly inside a span, is a candidate, so the highest candidate on
-    or above the line through t is the highest of the whole suffix.  Only a
-    moved knob scans the suffix's profile for z."""
+    z is the state's point: t, checked not to lie strictly inside a span,
+    is a candidate, so the highest candidate on or above the line through t
+    is the highest of the whole suffix."""
     local = [s - t0 for s in spans if s >= t0]
     if not local:
         raise NoMarkedPoint(_text(word, spans))
@@ -411,16 +403,7 @@ def _cut(
     # only a span that starts right of the last one can hold t: none, when sorted
     if max(local) > local[-1] and any(s < t < s + length for s in local):
         raise SpanSplitError(f"t at {t0 + t} inside a span of {_text(word, spans)}")
-    if _LINE_SLOPE == 0 and _HIGHEST_FIRST:
-        z_ordinate, z = state[0], state[1] - t0
-    else:
-        # the points of phi on or above the line through t, none strictly
-        # inside a span; t is one
-        prof = profile(phi)
-        inside = {p for s in local for p in range(s + 1, s + length)}
-        above = [p for p, y in enumerate(prof) if p not in inside and y >= prof[t] + _LINE_SLOPE * (p - t)]
-        z = max(above, key=prof.__getitem__) if _HIGHEST_FIRST else above[0]  # max keeps the leftmost
-        z_ordinate = prof[z]
+    z_ordinate, z = state[0], state[1] - t0
     alpha = phi[z:]
     # the spans from z on come first, then those before z, each group in order
     moved = [t0 + 1 + s - z for s in local if s >= z] + [t0 + 1 + s + len(alpha) for s in local if s < z]

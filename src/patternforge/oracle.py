@@ -301,11 +301,7 @@ def count_avoiding(pattern: Pattern, ones: int, zeros: int) -> int:
 
 def level_count(pattern: Pattern, ones: int) -> int:
     """Total avoiding words with exactly `ones` rises over all legal fall counts."""
-    if ones < 0:
-        return 0
-    if pattern.j > ones:
-        return sum(comb(ones + z, z) for z in range(ones + 1))
-    return sum(_edge_sums(pattern, ones)[0])
+    return sum(count_avoiding(pattern, ones, z) for z in range(ones + 1))
 
 
 def cluster_census(j: int, i: int, ones: int, zeros: int) -> tuple[int, int]:

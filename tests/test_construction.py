@@ -5,7 +5,6 @@ from __future__ import annotations
 import re
 import tracemalloc
 from collections import Counter
-from contextlib import suppress
 from dataclasses import replace
 from itertools import accumulate, combinations, compress, product, repeat
 from operator import ge
@@ -514,8 +513,8 @@ class TestDepthFirstWalk:
 
     @pytest.mark.parametrize("failing_level,raised", [(4, Boom), (5, NetOutOfRange), (6, NetOutOfRange)])
     def test_net_out_of_range_wins_from_its_level_on(self, monkeypatch, failing_level, raised):
-        # a sloped cut line breaks the sign balance at level 5 (see TestCutGeometryKnobs)
-        monkeypatch.setattr(construction, "_LINE_SLOPE", 1)
+        # a sloped cut line breaks the sign balance at level 5 (see TestCutGeometry)
+        move_geometry(monkeypatch, slope=1)
         fail_on(monkeypatch, lambda nd: nd.level == failing_level)
         with pytest.raises(raised) as err:
             run_levels(P21, 7)
@@ -548,10 +547,10 @@ class TestDepthFirstWalk:
         assert [report_fields(rep) for rep in kept.levels] == want
         assert [rep.nodes for rep in kept.levels] == nodes
 
-    @pytest.mark.parametrize("knob,value", [("_LINE_SLOPE", 1), ("_HIGHEST_FIRST", False)])
+    @pytest.mark.parametrize("geometry", [{"slope": 1}, {"highest_first": False}], ids=["sloped", "leftmost"])
     @pytest.mark.parametrize("j,i,max_ones", [(3, 1, 8), (4, 1, 9)])
-    def test_alarms_equal_those_of_the_full_walk(self, monkeypatch, knob, value, j, i, max_ones):
-        monkeypatch.setattr(construction, knob, value)
+    def test_alarms_equal_those_of_the_full_walk(self, monkeypatch, geometry, j, i, max_ones):
+        move_geometry(monkeypatch, **geometry)
         pattern = Pattern(j, i)
         word, level, net, copies = reference_alarm(reference_levels(pattern, max_ones))
         for keep_nodes in (False, True):
@@ -564,7 +563,7 @@ class TestDepthFirstWalk:
     @pytest.mark.parametrize("j,i", [(2, 1), (3, 1)])
     def test_copies_keep_node_order_whatever_order_the_walk_meets_them(self, monkeypatch, j, i):
         # a sloped cut line grows copies that tie on sort_key at the alarm level
-        monkeypatch.setattr(construction, "_LINE_SLOPE", 1)
+        move_geometry(monkeypatch, slope=1)
         pattern = Pattern(j, i)
         word, level, net, copies = reference_alarm(reference_levels(pattern, 5))
         assert len({nd.sort_key for nd in copies}) < len(copies)
@@ -849,11 +848,15 @@ class TestCarriedState:
         assert len(last) == len(copies) == 8
 
 
-def reference_cut(word: str, spans: tuple[int, ...], pattern: Pattern, t0: int):
+def reference_cut(
+    word: str, spans: tuple[int, ...], pattern: Pattern, t0: int, slope: int = 0, highest_first: bool = True
+):
     """construction._cut as it read z before every production read the
     suffix state: a scan of the suffix's profile with every point strictly
-    inside a span sunk to a floor under any line, under the cut-geometry
-    knobs as they are set.  The same checks, messages and result."""
+    inside a span sunk to a floor under any line.  The line through t has
+    the given slope, and z is the highest (then leftmost) point on or above
+    it, or with highest_first false the leftmost.  The defaults are the
+    engine's geometry.  The same checks, messages and result."""
     text = MarkedWord(word, spans).to_text()
     local = [s - t0 for s in spans if s >= t0]
     if not local:
@@ -862,7 +865,6 @@ def reference_cut(word: str, spans: tuple[int, ...], pattern: Pattern, t0: int):
     t = local[-1] + length
     if any(s < t < s + length for s in local):
         raise SpanSplitError(f"t at {t0 + t} inside a span of {text}")
-    slope = construction._LINE_SLOPE
     prof = profile(phi)
     n = len(prof)
     sunk = prof[:]
@@ -871,7 +873,7 @@ def reference_cut(word: str, spans: tuple[int, ...], pattern: Pattern, t0: int):
         sunk[s + 1 : s + length] = [floor] * (length - 1)
     line = accumulate(repeat(slope, n - 1), initial=prof[t] - slope * t)
     above = compress(range(n), map(ge, sunk, line))
-    z = max(above, key=prof.__getitem__) if construction._HIGHEST_FIRST else next(above)
+    z = max(above, key=prof.__getitem__) if highest_first else next(above)
     alpha = phi[z:]
     moved = [t0 + 1 + s - z for s in local if s >= z] + [t0 + 1 + s + len(alpha) for s in local if s < z]
     out, out_spans = word[:t0] + "0" + alpha + phi[:z], spans[: len(spans) - len(local)] + tuple(moved)
@@ -880,12 +882,15 @@ def reference_cut(word: str, spans: tuple[int, ...], pattern: Pattern, t0: int):
     return out, out_spans, t0 + t, t0 + z, prof[z]
 
 
-def outcome(fn, *args):
-    """("ok", result) or ("raise", exception type, message) of one call."""
-    try:
-        return "ok", fn(*args)
-    except Exception as exc:
-        return "raise", type(exc), str(exc)
+def move_geometry(monkeypatch, slope: int = 0, highest_first: bool = True) -> None:
+    """Make every cut reference_cut's under the given geometry: the walk's
+    jump-1 and jump-j cuts, the node API's and cut_and_paste's all call
+    construction._cut."""
+    monkeypatch.setattr(
+        construction,
+        "_cut",
+        lambda word, spans, pattern, t0, state: reference_cut(word, spans, pattern, t0, slope, highest_first),
+    )
 
 
 def scratch_state(word, spans, label, pc, pattern):
@@ -1006,27 +1011,6 @@ class TestCarriedSuffixState:
         self.call_the_node_api()
         assert calls["profile in a cut"] == 0
         assert min(calls["cut"], calls["profile"]) > 0, calls
-
-    @pytest.mark.parametrize("knob,value", [("_LINE_SLOPE", 1), ("_LINE_SLOPE", -1), ("_HIGHEST_FIRST", False)])
-    @pytest.mark.parametrize("j,i", [(2, 1), (3, 1)])
-    def test_a_moved_knob_cuts_as_the_reference_scan(self, monkeypatch, knob, value, j, i):
-        real_cut = construction._cut
-        calls = 0
-        differ = []
-
-        def cut(word, spans, pattern, t0, state):
-            nonlocal calls
-            calls += 1
-            got = outcome(real_cut, word, spans, pattern, t0, state)
-            if got != outcome(reference_cut, word, spans, pattern, t0):
-                differ.append((word, spans, t0, got))
-            return real_cut(word, spans, pattern, t0, state)
-
-        monkeypatch.setattr(construction, knob, value)
-        monkeypatch.setattr(construction, "_cut", cut)
-        with suppress(InvariantViolation):  # the alarm tests pin how each knob breaks the run
-            run_levels(Pattern(j, i), 5)
-        assert calls and differ == []
 
 
 class TestNodeInvariants:
@@ -1178,19 +1162,60 @@ class TestClusterLabelCensus:
         assert missing == {(3, 1): 18, (4, 1): 140, (4, 2): 18, (5, 2): 21}.get((j, i), 0)
 
 
-class TestCutGeometryKnobs:
+class TestCutGeometry:
     """The cut point selection (horizontal reference line, highest-then-
-    leftmost tie-break) is load-bearing: each alternative breaks the sign
-    balance on the smallest pattern within a few levels."""
+    leftmost tie-break) is load-bearing: each alternative, swapped in by
+    move_geometry, breaks the sign balance on the smallest pattern within a
+    few levels."""
 
     def test_sloped_reference_line_breaks_balance(self, monkeypatch):
-        monkeypatch.setattr(construction, "_LINE_SLOPE", 1)
+        move_geometry(monkeypatch, slope=1)
         with pytest.raises(NetOutOfRange) as err:
             run_levels(P21, 5)
         assert (err.value.word, err.value.level, err.value.net) == ("0011001101", 5, -1)
 
     def test_leftmost_first_tiebreak_breaks_balance(self, monkeypatch):
-        monkeypatch.setattr(construction, "_HIGHEST_FIRST", False)
+        move_geometry(monkeypatch, highest_first=False)
         with pytest.raises(NetOutOfRange) as err:
             run_levels(P21, 3)
         assert (err.value.word, err.value.level, err.value.net) == ("010110", 3, -1)
+
+    def test_falling_reference_line_breaks_balance(self, monkeypatch):
+        move_geometry(monkeypatch, slope=-1)
+        run_levels(P21, 3)
+        with pytest.raises(NetOutOfRange) as err:
+            run_levels(P21, 4)
+        assert (err.value.word, err.value.level, err.value.net) == ("00110110", 4, -1)
+
+    @pytest.mark.parametrize("j,i", [(2, 1), (3, 2), (4, 1)])
+    def test_the_engine_geometry_swapped_in_reports_the_same_levels(self, monkeypatch, j, i):
+        want = [(rep.label_census, list(rep.word_census.items()), rep.survivors) for rep in cached_run(j, i, 8).levels]
+        move_geometry(monkeypatch)
+        got = run_levels(Pattern(j, i), 8)
+        assert [(rep.label_census, list(rep.word_census.items()), rep.survivors) for rep in got.levels] == want
+
+    def test_the_engine_geometry_swapped_in_raises_the_same_alarm(self, monkeypatch):
+        with pytest.raises(NetOutOfRange) as want:
+            run_levels(P31, 7)
+        move_geometry(monkeypatch)
+        with pytest.raises(NetOutOfRange) as got:
+            run_levels(P31, 7)
+        fields = [(e.value.word, e.value.level, e.value.net, e.value.provenances) for e in (got, want)]
+        assert fields[0] == fields[1] and fields[0][:3] == ("0001011101110", 7, -1)
+
+    def test_walk_cuts_and_cut_and_paste_go_through_the_swapped_cut(self, monkeypatch):
+        mw = MarkedWord("1101011", (0,))  # its default z, the endpoint, lies under a slope-1 line through t
+        assert cut_and_paste(mw, P21) == MarkedWord("01101011", (1,))
+        move_geometry(monkeypatch, slope=1)
+        swapped = construction._cut
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return swapped(*args)
+
+        monkeypatch.setattr(construction, "_cut", spy)
+        run_levels(P21, 4)  # the sloped line first breaks the balance at level 5
+        walk_cuts = len(calls)
+        assert cut_and_paste(mw, P21) == MarkedWord("00111101", (4,))
+        assert walk_cuts > 0 and len(calls) == walk_cuts + 1
