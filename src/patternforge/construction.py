@@ -29,22 +29,24 @@ strictly inside a span, z = t when nothing else qualifies.  The result
 v + fall + phi[z:] + phi[:z] ends one ordinate lower.  The slack a reads h
 and h* from the same phi.
 
-Every production reads, with each copy, a state of its phi from the
-copy's append start (its endpoint when it ends on the axis, its suffix
-start otherwise): (z ordinate, z position, h, h*), where z is the highest
-(then leftmost) point of phi not strictly inside a span.  Under the
-default geometry that is the cut's z: t is such a point, so the highest
-of them is on or above the line through t.  A plain append extends its
-parent's state in O(1) (see _tail): the tail's one candidate z is the
-point right after the appended rise (jump 1) or the new span (jump j),
-and the old z wins a tie; a jump-1 tail with a fall adds an unmarked peak
-at k+1, a jump-j tail a marked peak at k+j.  So a family's cuts take z
-from its state and the slack reads h and h* from its parent's, with no
-profile, and every check on t, z and the cut word still runs.  One state
-source serves every caller: the walk carries each copy's state on its
-stack, and what has none carried (the node API, cut_and_paste, compute_a,
-and a cut child above the axis, which the walk rescans) reads it off one
-profile of its phi (_suffix_state; with its class, _scan).
+Every production reads one record of each copy, its state: (z ordinate,
+z position, h, h*, t0, gamma).  t0 is the copy's append start, its
+endpoint when it ends on the axis and its suffix start otherwise, and
+phi runs from there; z is the highest (then leftmost) point of phi not
+strictly inside a span, h and h* its highest unmarked and marked peaks,
+and gamma says whether the copy is gamma.  That z is the cut's: t is such
+a point, so the highest of them is on or above the line through t.  A
+plain append extends its parent's state in O(1) (see _tail): the tail's
+one candidate z is the point right after the appended rise (jump 1) or
+the new span (jump j), and the old z wins a tie; a jump-1 tail with a
+fall adds an unmarked peak at k+1, a jump-j tail a marked peak at k+j;
+t0 and gamma pass on unchanged.  So a family's cuts take z from its state
+and the slack reads h and h* from its parent's, with no profile, and
+every check on t, z and the cut word still runs.  One state source serves
+every caller: the walk carries each copy's state on its stack, and what
+has none carried (the node API, compute_a, and a cut child above the
+axis, which the walk rescans) reads it from classify and one profile of
+its phi (_scan); cut_and_paste reads that profile alone (_suffix_state).
 
 Each plus/minus copy of a word corresponds to one subset of its factor
 occurrences; per level, net = plus - minus is 1 for avoiding words and 0
@@ -92,17 +94,19 @@ order of a level-by-level run.  Only the lineages of a NetOutOfRange come
 from a second walk, which checks nothing and runs only once a level has
 failed.
 
-Each copy is classified at most once, and the walk builds a class only
-for a copy it will expand.  A plain-append child above the axis inherits
-its class (and suffix start) from its parent, since the appended steps
-never touch the axis before the endpoint; only children built by a cut
-are rescanned, and only those above the axis.  A copy that ends on the
-axis carries no class: it is DELTA_ON_AXIS whatever its spans, and such a
-copy above the root is never expanded.  A TreeNode carries no class
-either, so the node API classifies its input.  The class tallies of a
-level are read from its census: its label-0 copies are DELTA_ON_AXIS,
-the walk counts the gamma copies (and each return repeats those of the
-level it grows), and every other copy is DELTA_ABOVE.  run_levels never
+Each copy is classified at most once, by _scan, and only its suffix
+start (as t0) and whether it is gamma enter its state.  A plain-append
+child above the axis keeps both from its parent, since the appended steps
+never touch the axis before the endpoint: its suffix start is its
+parent's append start, and a parent that ends on the axis is never gamma.
+Only children built by a cut are rescanned, and only those above the
+axis.  A copy that ends on the axis is DELTA_ON_AXIS whatever its spans,
+so its label says all the productions read of its class, and such a copy
+above the root is never expanded.  A TreeNode carries no state, so the
+node API scans its input.  The class tallies of a level are read from its
+census: its label-0 copies are DELTA_ON_AXIS, the walk counts the copies
+whose state is gamma (and each return repeats those of the level it
+grows), and every other copy is DELTA_ABOVE.  run_levels never
 builds a child past max_ones, and every jump-j family that is built
 passes its label multiset check.
 """
@@ -122,7 +126,6 @@ from .oracle import DEFAULT_BUDGET, _check_levels
 from .words import (
     InvariantViolation,
     MarkedWord,
-    PathClass,
     PathKind,
     Pattern,
     classify,
@@ -191,7 +194,7 @@ class NetOutOfRange(InvariantViolation):
 class TreeNode:
     """One copy of the tree: its marked word, label (endpoint ordinate),
     sign, level (rise steps) and lineage of production tags.  It carries no
-    class: the node API classifies a node when it expands it."""
+    state: the node API scans a node when it expands it."""
 
     mw: MarkedWord
     label: int
@@ -204,18 +207,15 @@ class TreeNode:
         return (self.mw.word, self.mw.spans, self.parity)
 
 
-# The classes the productions and the walk test a copy against, bound once:
-# reading an Enum member off its class costs a lookup each time.
-_GAMMA, _ON_AXIS, _ABOVE = PathKind.GAMMA, PathKind.DELTA_ON_AXIS, PathKind.DELTA_ABOVE
-
-# What every production reads of a copy's axis suffix, the part from its
-# append start (see the module docstring): (z ordinate, z position, h, h*).
-_State = tuple[int, int, int, int | None]
+# The one record every production reads of a copy (see the module
+# docstring): (z ordinate, z position, h, h*) of its axis suffix phi, then
+# phi's start t0, the copy's append start, and whether the copy is gamma.
+_State = tuple[int, int, int, int | None, int, bool]
 
 # A checked child, before any node is built for it:
-# (word, spans, label, parity, tag, class, state); the class is None for a
-# child that ends on the axis or is built by a cut.
-_Kid = tuple[str, tuple[int, ...], int, int, str, PathClass | None, _State | None]
+# (word, spans, label, parity, tag, state); the state is None for a child
+# built by a cut, and never read for a child that ends on the axis.
+_Kid = tuple[str, tuple[int, ...], int, int, str, _State | None]
 
 
 def _text(word: str, spans: tuple[int, ...]) -> str:
@@ -230,10 +230,10 @@ def _missigned(parity: int, spans: tuple[int, ...], word: str) -> InvariantViola
     return InvariantViolation(f"parity {parity} != sign of {len(spans)} spans in {word!r}")
 
 
-def _fields(node: TreeNode, pattern: Pattern) -> tuple[str, tuple[int, ...], int, int, PathClass, _State]:
-    """(word, spans, label, parity, class, state): a node as its productions
-    read it, with its class and state from _scan."""
-    return node.mw.word, node.mw.spans, node.label, node.parity, *_scan(node.mw, node.label, pattern)
+def _fields(node: TreeNode, pattern: Pattern) -> tuple[str, tuple[int, ...], int, int, _State]:
+    """(word, spans, label, parity, state): a node as its productions read
+    it, with its state from _scan."""
+    return node.mw.word, node.mw.spans, node.label, node.parity, _scan(node.mw, node.label, pattern)
 
 
 def _nodes(parent: TreeNode, level: int, kids: list[_Kid]) -> list[TreeNode]:
@@ -241,26 +241,23 @@ def _nodes(parent: TreeNode, level: int, kids: list[_Kid]) -> list[TreeNode]:
     lineage = parent.provenance
     return [
         TreeNode(MarkedWord(word, spans), label, parity, level, lineage + (tag,))
-        for word, spans, label, parity, tag, _, _ in kids
+        for word, spans, label, parity, tag, _ in kids
     ]
-
-
-def _append_start(word: str, label: int, pc: PathClass) -> int:
-    """Rightmost eligible axis point of any plain append to a copy: its own
-    endpoint when it ends on the axis, its suffix start otherwise."""
-    return len(word) if label == 0 else pc.suffix_start
 
 
 def _tail(word: str, label: int, state: _State, pattern: Pattern, jump: int) -> tuple[_State, _State]:
     """The states of a plain-append family of a copy with that state, as
     (its top child's, every other child's).  The copy's state starts at its
-    append start, so the appended steps extend it.  Every child, and so the
-    family's grown words, shares one z.  The tail's one candidate z is the
-    point right after the appended rise (jump 1) or the new span (jump j),
-    and the old z wins a tie.  A jump-1 tail with a fall adds an unmarked
-    peak at k+1, a jump-j tail a marked peak at k+j.  A label-0 child's
-    state is never read: it ends on the axis and is not expanded."""
-    zo, zp, h, hstar = state
+    append start t0, so the appended steps extend it.  Every child, and so
+    the family's grown words, shares one z.  The tail's one candidate z is
+    the point right after the appended rise (jump 1) or the new span (jump
+    j), and the old z wins a tie.  A jump-1 tail with a fall adds an
+    unmarked peak at k+1, a jump-j tail a marked peak at k+j.  t0 and the
+    gamma flag pass on as they are: a child above the axis starts its
+    suffix at the parent's append start and has the parent's class (a
+    label-0 parent is never gamma).  A label-0 child's state is never read:
+    it ends on the axis and is not expanded."""
+    zo, zp, h, hstar, t0, gamma = state
     if jump == 1:
         point = label + 1, len(word) + 1
     else:
@@ -268,15 +265,15 @@ def _tail(word: str, label: int, state: _State, pattern: Pattern, jump: int) -> 
         hstar = label + pattern.j if hstar is None else max(hstar, label + pattern.j)
     if point[0] > zo:
         zo, zp = point
-    top = zo, zp, h, hstar
-    return top, ((zo, zp, max(h, label + 1), hstar) if jump == 1 else top)
+    top = zo, zp, h, hstar, t0, gamma
+    return top, ((zo, zp, max(h, label + 1), hstar, t0, gamma) if jump == 1 else top)
 
 
-def _suffix_state(word: str, spans: tuple[int, ...], t0: int, pattern: Pattern) -> _State:
-    """The state of the suffix of a marked word from the axis point t0, read
-    off one profile: z is its highest (then leftmost) point not strictly
-    inside a span, h its highest unmarked peak (0 with none) and h* its
-    highest marked peak (None with no span)."""
+def _suffix_state(word: str, spans: tuple[int, ...], t0: int, pattern: Pattern) -> tuple[int, int, int, int | None]:
+    """(z ordinate, z position, h, h*) of the suffix of a marked word from
+    the axis point t0, read off one profile: z is its highest (then
+    leftmost) point not strictly inside a span, h its highest unmarked peak
+    (0 with none) and h* its highest marked peak (None with no span)."""
     phi = word[t0:]
     prof = profile(phi)
     local = [s - t0 for s in spans if s >= t0]
@@ -291,12 +288,14 @@ def _suffix_state(word: str, spans: tuple[int, ...], t0: int, pattern: Pattern) 
     return prof[z], t0 + z, h, hstar
 
 
-def _scan(mw: MarkedWord, label: int, pattern: Pattern) -> tuple[PathClass, _State]:
-    """The class of a copy, from classify, and its state from its append
-    start, read off one profile: what a copy reads when nothing is carried
-    to it."""
+def _scan(mw: MarkedWord, label: int, pattern: Pattern) -> _State:
+    """The state of a copy when nothing is carried to it: classify gives
+    its class (raising on a word no production takes) and its suffix start,
+    which is its append start t0 unless it ends on the axis, and one
+    profile of the suffix from t0 gives the rest."""
     pc = classify(mw, pattern)
-    return pc, _suffix_state(mw.word, mw.spans, _append_start(mw.word, label, pc), pattern)
+    t0 = len(mw.word) if label == 0 else pc.suffix_start
+    return (*_suffix_state(mw.word, mw.spans, t0, pattern), t0, pc.kind is PathKind.GAMMA)
 
 
 def _appends(
@@ -304,23 +303,16 @@ def _appends(
     spans: tuple[int, ...],
     label: int,
     parity: int,
-    pc: PathClass,
     pattern: Pattern,
     jump: int,
     tag: str,
     family: tuple[_State, _State],
 ) -> list[_Kid]:
     """Plain appends of one rise (jump 1) or the marked factor (jump j) and
-    then falls, one child per label from 0 up, each carrying its class and
-    its state from family: the (top child's, other children's) states that
-    _tail extends from the copy's.
-
-    The appended steps stay strictly above the axis until the endpoint, so
-    a child above the axis keeps the parent's class, or starts a fresh
-    above-axis suffix at the parent's endpoint when the parent ends on the
-    axis.  The label-0 child ends on the axis and is never expanded, so it
-    carries no class (None).  A new span peaks at k + j.  Every child is
-    checked against its label and its sign.
+    then falls, one child per label from 0 up, each carrying its state from
+    family: the (top child's, other children's) states that _tail extends
+    from the copy's.  A new span peaks at k + j.  Every child is checked
+    against its label and its sign.
     """
     top_state, fallen = family
     if jump == 1:
@@ -328,7 +320,6 @@ def _appends(
     else:
         head, top, spans, parity = word + pattern.factor, label + pattern.j - pattern.i, spans + (len(word),), -parity
     sign = 1 if len(spans) % 2 == 0 else -1
-    above = PathClass(_ABOVE, len(word)) if label == 0 else pc
     out = []
     for y, child_tag in enumerate(_tags(tag, top)):
         child = head + "0" * (top - y)
@@ -336,7 +327,7 @@ def _appends(
             raise _mislabelled(y, child)
         if parity != sign:
             raise _missigned(parity, spans, child)
-        out.append((child, spans, y, parity, child_tag, above if y else None, fallen if y < top else top_state))
+        out.append((child, spans, y, parity, child_tag, fallen if y < top else top_state))
     return out
 
 
@@ -349,19 +340,17 @@ def _tags(tag: str, top: int) -> tuple[str, ...]:
 # --- slack parameter a and cut-and-paste ------------------------------------
 
 
-def _ladder(
-    word: str, spans: tuple[int, ...], label: int, pc: PathClass, state: _State, pattern: Pattern
-) -> tuple[int, int | None]:
+def _ladder(word: str, spans: tuple[int, ...], label: int, state: _State, pattern: Pattern) -> tuple[int, int | None]:
     """(a, pin): the slack a of a delta word, and the ordinate its jump-j
     cuts must put z at, None when z must equal t.  They follow from the
     highest unmarked peak h (0 with none) and the highest marked peak h*
-    (None with no span) of the suffix from pc.suffix_start, read off the
-    copy's state."""
-    if pc.kind is _GAMMA:
+    (None with no span) of the suffix from its start, read off the copy's
+    state."""
+    if state[5]:
         raise NotDeltaError(_text(word, spans))
-    if pc.kind is _ON_AXIS:
+    if label == 0:
         return 0, None
-    h, hstar = state[2:]
+    h, hstar = state[2:4]
     route_marked = hstar is not None and hstar - h > pattern.i
     top = hstar - pattern.i if route_marked else h
     ji = pattern.j - pattern.i
@@ -380,16 +369,16 @@ def compute_a(mw: MarkedWord, pattern: Pattern) -> int:
     """
     mw.validate(pattern)
     label = height(mw.word)
-    return _ladder(mw.word, mw.spans, label, *_scan(mw, label, pattern), pattern)[0]
+    return _ladder(mw.word, mw.spans, label, _scan(mw, label, pattern), pattern)[0]
 
 
 def _cut(
-    word: str, spans: tuple[int, ...], pattern: Pattern, t0: int, state: _State
+    word: str, spans: tuple[int, ...], pattern: Pattern, t0: int, state: tuple
 ) -> tuple[str, tuple[int, ...], int, int, int]:
     """Cut-and-paste the suffix of a marked word from the axis point t0,
-    whose state is given: the cut word and its spans, then t, z (both
-    positions in word) and z's ordinate.  spans are sorted, as every span
-    tuple of the tree is.
+    whose state (or _suffix_state) is given: the cut word and its spans,
+    then t, z (both positions in word) and z's ordinate.  spans are sorted,
+    as every span tuple of the tree is.
 
     z is the state's point: t, checked not to lie strictly inside a span,
     is a candidate, so the highest candidate on or above the line through t
@@ -436,16 +425,15 @@ def _jump1(
     spans: tuple[int, ...],
     label: int,
     parity: int,
-    pc: PathClass,
     state: _State,
     pattern: Pattern,
 ) -> list[_Kid]:
-    if pc.kind is _GAMMA:
+    if state[5]:
         raise NotDeltaError(_text(word, spans))
     family = _tail(word, label, state, pattern, 1)
-    out = _appends(word, spans, label, parity, pc, pattern, 1, "up", family)
+    out = _appends(word, spans, label, parity, pattern, 1, "up", family)
     grown = word + "1" + "0" * label
-    t0 = _append_start(word, label, pc)  # rightmost eligible axis point of grown
+    t0 = state[4]  # rightmost eligible axis point of grown
     if spans and spans[-1] >= t0:
         repaired, repaired_spans = _cut(grown, spans, pattern, t0, family[1])[:2]
     else:
@@ -456,7 +444,7 @@ def _jump1(
         raise _mislabelled(0, repaired)
     if parity != (1 if len(repaired_spans) % 2 == 0 else -1):
         raise _missigned(parity, repaired_spans, repaired)
-    out.append((repaired, repaired_spans, 0, parity, "up:axis", None, None))
+    out.append((repaired, repaired_spans, 0, parity, "up:axis", None))
     return out
 
 
@@ -465,17 +453,16 @@ def _jumpj(
     spans: tuple[int, ...],
     label: int,
     parity: int,
-    pc: PathClass,
     state: _State,
     pattern: Pattern,
 ) -> list[_Kid]:
-    a, pin = _ladder(word, spans, label, pc, state, pattern)
+    a, pin = _ladder(word, spans, label, state, pattern)
     k = label
     ji = pattern.j - pattern.i
     family = _tail(word, label, state, pattern, pattern.j)
-    out = _appends(word, spans, label, parity, pc, pattern, pattern.j, "mark", family)
+    out = _appends(word, spans, label, parity, pattern, pattern.j, "mark", family)
     head, marked = word + pattern.factor, spans + (len(word),)
-    t0 = _append_start(word, label, pc)
+    t0 = state[4]
     behind = len(word) + pattern.length
     parity = -parity
     for y in range(k + a, k + ji):
@@ -496,7 +483,7 @@ def _jumpj(
                 raise _mislabelled(m0 - g, child)
             if parity != sign:
                 raise _missigned(parity, repaired_spans, child)
-            out.append((child, repaired_spans, m0 - g, parity, f"mark:cut{y}+{g}" if g else f"mark:cut{y}", None, None))
+            out.append((child, repaired_spans, m0 - g, parity, f"mark:cut{y}+{g}" if g else f"mark:cut{y}", None))
     got = Counter(kid[2] for kid in out)
     want = {m: 1 + max(0, ji - a - m) for m in range(k + ji + 1)}
     if got != want:
@@ -512,24 +499,22 @@ def _expand(
     label: int,
     parity: int,
     level: int,
-    pc: PathClass,
     state: _State,
     pattern: Pattern,
     max_level: int | None = None,
 ) -> dict[int, list[_Kid]]:
-    """The children of a copy at `level` with its class and state, as
-    checked kids grouped by target level, jump 1 first: the production
-    table, one row per jump, and the walk's seam.  A gamma copy takes each
-    row's plain appends, a delta copy its production.  A row whose level
-    lies past max_level (None: no bound) is never built, so a jump-j family
-    out of range skips its cuts and its label multiset check.  The copy's
-    state passes on to every plain append (see _tail)."""
-    args = word, spans, label, parity, pc
-    gamma = pc.kind is _GAMMA
+    """The children of a copy at `level` with its state, as checked kids
+    grouped by target level, jump 1 first: the production table, one row
+    per jump, and the walk's seam.  A gamma copy takes each row's plain
+    appends, a delta copy its production.  A row whose level lies past
+    max_level (None: no bound) is never built, so a jump-j family out of
+    range skips its cuts and its label multiset check.  The copy's state
+    passes on to every plain append (see _tail)."""
+    args = word, spans, label, parity
     groups = {}
     for jump, tag, production in (1, "up", _jump1), (pattern.j, "mark", _jumpj):
         if max_level is None or level + jump <= max_level:
-            if gamma:
+            if state[5]:  # gamma
                 family = _tail(word, label, state, pattern, jump)
                 groups[level + jump] = _appends(*args, pattern, jump, "g" + tag, family)
             else:
@@ -553,10 +538,10 @@ def delta_jumpj(node: TreeNode, pattern: Pattern) -> list[TreeNode]:
 def gamma_expand(node: TreeNode, pattern: Pattern) -> tuple[list[TreeNode], list[TreeNode]]:
     """Gamma children, jump 1 then jump j: plain appends only, each label
     exactly once."""
-    word, spans, label, parity, pc, state = _fields(node, pattern)
-    if pc.kind is not _GAMMA:
+    word, spans, label, parity, state = _fields(node, pattern)
+    if not state[5]:
         raise NotGammaError(node.mw.to_text())
-    groups = _expand(word, spans, label, parity, node.level, pc, state, pattern)
+    groups = _expand(word, spans, label, parity, node.level, state, pattern)
     up, mark = (_nodes(node, n, kids) for n, kids in groups.items())
     return up, mark
 
@@ -566,8 +551,8 @@ def expand_node(node: TreeNode, pattern: Pattern, max_level: int | None = None) 
     each group sorted by sort_key: by (word, span starts), since a group
     has one parity.  A group past max_level (None: no bound) is never
     built (see _expand)."""
-    word, spans, label, parity, pc, state = _fields(node, pattern)
-    groups = _expand(word, spans, label, parity, node.level, pc, state, pattern, max_level)
+    word, spans, label, parity, state = _fields(node, pattern)
+    groups = _expand(word, spans, label, parity, node.level, state, pattern, max_level)
     return {n: sorted(_nodes(node, n, kids), key=lambda nd: nd.sort_key) for n, kids in groups.items()}
 
 
@@ -641,9 +626,9 @@ def _walk(
     once: walked ones, and, behind each kept walked return of level m, the
     kept nodes of level n - m.  That is every tree node keep accepts,
     provided keep accepts every factor of a word it accepts.  The stack
-    holds plain tuples (word, spans, label, parity, level, lineage, class,
-    state), where a lineage is () at the root and otherwise the linked pair
-    (parent lineage, tag), and state is the suffix state (see _tail).
+    holds plain tuples (word, spans, label, parity, level, lineage, state),
+    where a lineage is () at the root and otherwise the linked pair (parent
+    lineage, tag), and state is the copy's one record (see _tail).
 
     A copy whose classification or expansion raises grows no subtree, and
     the walk goes on: it raises nothing the construction raises.  failure
@@ -663,12 +648,12 @@ def _walk(
     tallies[0].copies[""] = [1, 0]  # no production makes the root: count it here
     if keep is not None and keep(""):
         tallies[0].kept.append(TreeNode(MarkedWord(""), 0, 1, 0))
-    stack = [("", (), 0, 1, 0, (), PathClass(_ON_AXIS, 0), (0, 0, 0, None))] if max_ones else []
+    stack = [("", (), 0, 1, 0, (), (0, 0, 0, None, 0, False))] if max_ones else []
     push = stack.append
     while stack:
-        word, spans, label, parity, level, lineage, pc, state = stack.pop()
+        word, spans, label, parity, level, lineage, state = stack.pop()
         try:
-            groups = _expand(word, spans, label, parity, level, pc, state, pattern, max_ones)
+            groups = _expand(word, spans, label, parity, level, state, pattern, max_ones)
         except Exception as exc:
             fail((level, 1, (word, spans, parity)), exc)
             continue
@@ -676,7 +661,7 @@ def _walk(
             here = tallies[n]
             copies = here.copies
             deeper = n < max_ones
-            for word, spans, label, parity, tag, pc, state in kids:  # of the parent, only lineage is read on
+            for word, spans, label, parity, tag, state in kids:  # of the parent, only lineage is read on
                 cell = copies.get(word)
                 if cell is None:
                     cell = copies[word] = [0, 0]
@@ -685,16 +670,16 @@ def _walk(
                     here.kept.append(TreeNode(MarkedWord(word, spans), label, parity, n, _provenance((lineage, tag))))
                 if not label:  # DELTA_ON_AXIS: an axis return, never expanded
                     continue
-                if pc is None:  # built by a cut
+                if state is None:  # built by a cut
                     try:
-                        pc, state = _scan(MarkedWord(word, spans), label, pattern)
+                        state = _scan(MarkedWord(word, spans), label, pattern)
                     except Exception as exc:
                         fail((n, 0, (word, spans, parity)), exc)
                         continue
-                if pc.kind is _GAMMA:
+                if state[5]:
                     here.gamma += 1
                 if deeper:
-                    push((word, spans, label, parity, n, (lineage, tag), pc, state))
+                    push((word, spans, label, parity, n, (lineage, tag), state))
     if keep is not None:
         walked = [[q for q in t.kept if q.label == 0] for t in tallies]  # before any is grown
         for n, t in enumerate(tallies):

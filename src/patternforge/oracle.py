@@ -309,7 +309,9 @@ def cluster_census(j: int, i: int, ones: int, zeros: int) -> tuple[int, int]:
     by the cluster method (Goulden and Jackson 1979): 1^j 0^i cannot overlap
     itself, so a copy marking m occurrences is a word of a = ones + zeros -
     (j+i-1)m letters, m of them marked factors, with sign (-1)^m.  Their
-    difference is the number of words that avoid the factor."""
+    difference is the number of words that avoid the factor.  (j, i) is
+    checked as Pattern checks it: ValueError unless 0 < i < j."""
+    Pattern(j, i)
     plus = minus = 0
     for m in range(min(ones // j, zeros // i) + 1):
         a = ones + zeros - (j + i - 1) * m

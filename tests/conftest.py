@@ -102,8 +102,8 @@ def drop_last_mark_child(appends):
     """construction._appends without the last plain jump-j append of each
     delta node, so every jump-j family misses one label."""
 
-    def dropped(word, spans, label, parity, pc, pattern, jump, tag, family):
-        kids = appends(word, spans, label, parity, pc, pattern, jump, tag, family)
+    def dropped(word, spans, label, parity, pattern, jump, tag, family):
+        kids = appends(word, spans, label, parity, pattern, jump, tag, family)
         return kids[:-1] if tag == "mark" else kids
 
     return dropped

@@ -96,7 +96,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("error", [UnclassifiablePath, NotDeltaError, NotGammaError, NoMarkedPoint])
     def test_production_failure_is_a_soundness_error(self, monkeypatch, error):
-        def expand(word, spans, label, parity, level, pc, state, pattern, max_level=None):
+        def expand(word, spans, label, parity, level, state, pattern, max_level=None):
             raise error(construction.MarkedWord(word, spans).to_text())
 
         monkeypatch.setattr(construction, "_expand", expand)  # the walk's seam

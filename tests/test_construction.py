@@ -393,11 +393,11 @@ def fail_on(monkeypatch, should_fail):
     node without lineage."""
     real = construction._expand
 
-    def expand(word, spans, label, parity, level, pc, state, pattern, max_level=None):
+    def expand(word, spans, label, parity, level, state, pattern, max_level=None):
         node = TreeNode(MarkedWord(word, spans), label, parity, level)
         if should_fail(node):
             raise Boom(level, node.sort_key)
-        return real(word, spans, label, parity, level, pc, state, pattern, max_level)
+        return real(word, spans, label, parity, level, state, pattern, max_level)
 
     monkeypatch.setattr(construction, "_expand", expand)
 
@@ -742,21 +742,25 @@ class TestAxisReturns:
 
 
 class TestCarriedState:
-    """Children built by plain appends inherit their expansion class from
-    the parent instead of being rescanned; children past max_ones are
-    never built."""
+    """Children built by plain appends inherit their append start and gamma
+    flag from the parent instead of being rescanned; children past max_ones
+    are never built."""
 
     @pytest.mark.parametrize("j,i", DIFFERENTIAL_PATTERNS)
     def test_carried_class_equals_a_rescan(self, monkeypatch, j, i):
         pattern = Pattern(j, i)
-        real = construction._expand  # the walk's seam: every copy it expands, with its class
+        real = construction._expand  # the walk's seam: every copy it expands, with its state
         kinds = Counter()
 
-        def spy(word, spans, label, parity, level, pc, *args):
+        def spy(word, spans, label, parity, level, state, *args):
             # checked before the production runs; the walk holds a failed assertion and run_levels raises it
-            assert pc == classify(MarkedWord(word, spans), pattern), MarkedWord(word, spans).to_text()
+            mw = MarkedWord(word, spans)
+            pc = classify(mw, pattern)
+            start = len(word) if label == 0 else pc.suffix_start  # the append start
+            assert state[4:] == (start, pc.kind is PathKind.GAMMA), mw.to_text()
+            assert state == scratch_state(word, spans, label, pattern), mw.to_text()
             kinds[pc.kind] += 1
-            return real(word, spans, label, parity, level, pc, *args)
+            return real(word, spans, label, parity, level, state, *args)
 
         monkeypatch.setattr(construction, "_expand", spy)
         # (3,1) raises its frozen sign-balance alarm at level 7
@@ -893,18 +897,27 @@ def move_geometry(monkeypatch, slope: int = 0, highest_first: bool = True) -> No
     )
 
 
-def scratch_state(word, spans, label, pc, pattern):
-    """A copy's suffix state read from scratch, from its append start."""
-    return construction._suffix_state(word, spans, construction._append_start(word, label, pc), pattern)
+def scratch_state(word, spans, label, pattern):
+    """A copy's whole state read from scratch (construction._scan): its
+    class from classify, then its suffix from its append start."""
+    return construction._scan(MarkedWord(word, spans), label, pattern)
+
+
+def cut_state(word, spans, pattern, t0, carried):
+    """The state a cut from t0 must get: the suffix state read from scratch
+    from t0, with t0 and a false gamma flag when a production carries it
+    (cut_and_paste passes the suffix state alone)."""
+    state = construction._suffix_state(word, spans, t0, pattern)
+    return (*state, t0, False) if carried else state
 
 
 class TestCarriedSuffixState:
-    """Every production reads a copy's suffix state (z, h, h*) from its
-    append start: the walk carries it on its stack (construction._tail),
-    and the node API, cut_and_paste and compute_a read it off one profile
-    (construction._scan).  Every state must equal one read from scratch,
-    every cut the reference scan's, and every slack the one that a state
-    read from scratch gives."""
+    """Every production reads a copy's state (z, h, h*, append start t0,
+    gamma flag): the walk carries it on its stack (construction._tail),
+    and the node API and compute_a read it from classify and one profile
+    (construction._scan), cut_and_paste its suffix part alone.  Every state
+    must equal one read from scratch, every cut the reference scan's, and
+    every slack the one that a state read from scratch gives."""
 
     @pytest.mark.parametrize(
         "j,i,max_ones", [(2, 1, 8), (3, 2, 8), (4, 3, 8), (3, 1, 6), (4, 1, 8), (4, 2, 8), (5, 2, 8)]
@@ -914,25 +927,25 @@ class TestCarriedSuffixState:
         seen = Counter()
         differ = []
 
-        def expand(word, spans, label, parity, level, pc, state, pattern, max_level=None):
+        def expand(word, spans, label, parity, level, state, pattern, max_level=None):
             seen["expand"] += 1
-            if state != scratch_state(word, spans, label, pc, pattern):
+            if state != scratch_state(word, spans, label, pattern):
                 differ.append(("state", word, spans, state))
-            return real_expand(word, spans, label, parity, level, pc, state, pattern, max_level)
+            return real_expand(word, spans, label, parity, level, state, pattern, max_level)
 
         def cut(word, spans, pattern, t0, state):
             seen["cut"] += 1
-            if state != construction._suffix_state(word, spans, t0, pattern):
+            if state != cut_state(word, spans, pattern, t0, carried=True):
                 differ.append(("cut state", word, spans, t0, state))
             got = real_cut(word, spans, pattern, t0, state)
             if got != reference_cut(word, spans, pattern, t0):  # (out, spans, t, z, z ordinate)
                 differ.append(("cut", word, spans, t0))
             return got
 
-        def ladder(word, spans, label, pc, state, pattern):
-            got = real_ladder(word, spans, label, pc, state, pattern)
-            seen["ladder"] += pc.kind is PathKind.DELTA_ABOVE  # a slack read off the state
-            if got != real_ladder(word, spans, label, pc, scratch_state(word, spans, label, pc, pattern), pattern):
+        def ladder(word, spans, label, state, pattern):
+            got = real_ladder(word, spans, label, state, pattern)
+            seen["ladder"] += label > 0  # DELTA_ABOVE: a slack read off the state
+            if got != real_ladder(word, spans, label, scratch_state(word, spans, label, pattern), pattern):
                 differ.append(("ladder", word, spans))  # (a, pin)
             return got
 
@@ -973,15 +986,15 @@ class TestCarriedSuffixState:
 
         def cut(word, spans, pattern, t0, state):
             seen["cut"] += 1
-            if state != construction._suffix_state(word, spans, t0, pattern):
+            if state != cut_state(word, spans, pattern, t0, carried=len(state) > 4):
                 differ.append(("cut", word, spans, t0, state))
             return real_cut(word, spans, pattern, t0, state)
 
-        def ladder(word, spans, label, pc, state, pattern):
-            seen["ladder"] += pc.kind is PathKind.DELTA_ABOVE
-            if state != scratch_state(word, spans, label, pc, pattern):
+        def ladder(word, spans, label, state, pattern):
+            seen["ladder"] += label > 0 and not state[5]  # DELTA_ABOVE
+            if state != scratch_state(word, spans, label, pattern):
                 differ.append(("ladder", word, spans, state))
-            return real_ladder(word, spans, label, pc, state, pattern)
+            return real_ladder(word, spans, label, state, pattern)
 
         monkeypatch.setattr(construction, "_cut", cut)
         monkeypatch.setattr(construction, "_ladder", ladder)

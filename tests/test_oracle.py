@@ -347,6 +347,13 @@ class TestCountAvoiding:
                 plus, minus = cluster_census(*ji, n, z)
                 assert count_avoiding(pattern, n, z) == plus - minus, (ji, n, z)
 
+    @pytest.mark.parametrize("j,i", [(2, 0), (0, 1), (-2, 1), (1, 1), (2, 2), (2, 3), (1, 2)])
+    def test_the_cluster_method_refuses_a_pair_that_is_no_pattern(self, j, i):
+        """Not a ZeroDivisionError, nor a silent (0, 0): the pair is refused
+        as Pattern refuses it."""
+        with pytest.raises(ValueError, match=re.escape(f"need 0 < i < j, got j={j} i={i}")):
+            cluster_census(j, i, 3, 3)
+
     def test_longer_factors_leave_more_words(self):
         for n in range(7):
             for m in range(n + 1):
