@@ -2,7 +2,9 @@
 built level by level with marked-pattern bookkeeping, checked against
 independent counting oracles, plus a small succession-rule engine.
 
-The package exports what each module lists in its own __all__."""
+The package exports what each module lists in its own __all__.  Every
+record is a typing.NamedTuple, so importing the package loads neither
+dataclasses nor inspect."""
 
 __version__ = "0.1.0"
 

@@ -113,13 +113,13 @@ passes its label multiset check.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress
-from operator import gt
-from typing import Callable
+from operator import attrgetter, gt
+from typing import Callable, NamedTuple
 
 from .census import build_census
 from .oracle import DEFAULT_BUDGET, _check_levels
@@ -190,8 +190,7 @@ class NetOutOfRange(InvariantViolation):
         return type(self), (self.word, self.level, self.net, self.provenances)
 
 
-@dataclass(frozen=True, slots=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     """One copy of the tree: its marked word, label (endpoint ordinate),
     sign, level (rise steps) and lineage of production tags.  It carries no
     state: the node API scans a node when it expands it."""
@@ -269,9 +268,11 @@ def _tail(word: str, label: int, state: _State, pattern: Pattern, jump: int) -> 
     return top, ((zo, zp, max(h, label + 1), hstar, t0, gamma) if jump == 1 else top)
 
 
-def _suffix_state(word: str, spans: tuple[int, ...], t0: int, pattern: Pattern) -> tuple[int, int, int, int | None]:
-    """(z ordinate, z position, h, h*) of the suffix of a marked word from
-    the axis point t0, read off one profile: z is its highest (then
+def _suffix_state(
+    word: str, spans: tuple[int, ...], t0: int, pattern: Pattern
+) -> tuple[int, int, int, int | None, int]:
+    """(z ordinate, z position, h, h*, t0) of the suffix of a marked word
+    from the axis point t0, read off one profile: z is its highest (then
     leftmost) point not strictly inside a span, h its highest unmarked peak
     (0 with none) and h* its highest marked peak (None with no span)."""
     phi = word[t0:]
@@ -285,7 +286,7 @@ def _suffix_state(word: str, spans: tuple[int, ...], t0: int, pattern: Pattern) 
         peaks[q - 1] = False
     h = max(compress(prof[1:], peaks), default=0)
     hstar = max(map(prof.__getitem__, marked), default=None)
-    return prof[z], t0 + z, h, hstar
+    return prof[z], t0 + z, h, hstar, t0
 
 
 def _scan(mw: MarkedWord, label: int, pattern: Pattern) -> _State:
@@ -295,7 +296,7 @@ def _scan(mw: MarkedWord, label: int, pattern: Pattern) -> _State:
     profile of the suffix from t0 gives the rest."""
     pc = classify(mw, pattern)
     t0 = len(mw.word) if label == 0 else pc.suffix_start
-    return (*_suffix_state(mw.word, mw.spans, t0, pattern), t0, pc.kind is PathKind.GAMMA)
+    return (*_suffix_state(mw.word, mw.spans, t0, pattern), pc.kind is PathKind.GAMMA)
 
 
 def _appends(
@@ -373,16 +374,18 @@ def compute_a(mw: MarkedWord, pattern: Pattern) -> int:
 
 
 def _cut(
-    word: str, spans: tuple[int, ...], pattern: Pattern, t0: int, state: tuple
+    word: str, spans: tuple[int, ...], pattern: Pattern, state: tuple
 ) -> tuple[str, tuple[int, ...], int, int, int]:
-    """Cut-and-paste the suffix of a marked word from the axis point t0,
-    whose state (or _suffix_state) is given: the cut word and its spans,
-    then t, z (both positions in word) and z's ordinate.  spans are sorted,
-    as every span tuple of the tree is.
+    """Cut-and-paste the suffix of a marked word from its axis point t0,
+    given its state (or _suffix_state, its first five fields), which
+    carries t0: the cut word and its spans, then t, z (both positions in
+    word) and z's ordinate.  spans are sorted, as every span tuple of the
+    tree is.
 
     z is the state's point: t, checked not to lie strictly inside a span,
     is a candidate, so the highest candidate on or above the line through t
     is the highest of the whole suffix."""
+    t0 = state[4]
     local = [s - t0 for s in spans if s >= t0]
     if not local:
         raise NoMarkedPoint(_text(word, spans))
@@ -414,7 +417,7 @@ def cut_and_paste(mw: MarkedWord, pattern: Pattern) -> MarkedWord:
     if height(mw.word) < 1:
         raise ValueError(f"cut_and_paste needs endpoint ordinate >= 1, got {mw.to_text()}")
     t0 = rightmost_suffix(mw, pattern)[2]
-    return MarkedWord(*_cut(mw.word, mw.spans, pattern, t0, _suffix_state(mw.word, mw.spans, t0, pattern))[:2])
+    return MarkedWord(*_cut(mw.word, mw.spans, pattern, _suffix_state(mw.word, mw.spans, t0, pattern))[:2])
 
 
 # --- productions -------------------------------------------------------------
@@ -435,7 +438,7 @@ def _jump1(
     grown = word + "1" + "0" * label
     t0 = state[4]  # rightmost eligible axis point of grown
     if spans and spans[-1] >= t0:
-        repaired, repaired_spans = _cut(grown, spans, pattern, t0, family[1])[:2]
+        repaired, repaired_spans = _cut(grown, spans, pattern, family[1])[:2]
     else:
         # the suffix is span-free and above the axis; flipped, it returns
         # to the axis only at the new endpoint
@@ -462,12 +465,11 @@ def _jumpj(
     family = _tail(word, label, state, pattern, pattern.j)
     out = _appends(word, spans, label, parity, pattern, pattern.j, "mark", family)
     head, marked = word + pattern.factor, spans + (len(word),)
-    t0 = state[4]
     behind = len(word) + pattern.length
     parity = -parity
     for y in range(k + a, k + ji):
         grown = head + "0" * y
-        repaired, repaired_spans, t, z, z_ordinate = _cut(grown, marked, pattern, t0, family[1])
+        repaired, repaired_spans, t, z, z_ordinate = _cut(grown, marked, pattern, family[1])
         if t != behind:
             raise InvariantViolation(f"t at {t}, not behind the new span, in {_text(grown, marked)}")
         if pin is None:
@@ -559,8 +561,7 @@ def expand_node(node: TreeNode, pattern: Pattern, max_level: int | None = None) 
 # --- level engine ------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class LevelReport:
+class LevelReport(NamedTuple):
     """One level of a run.  word_census is a read-only Mapping, word ->
     (plus, minus) copies, over the words with a copy, in ascending word
     order (see census.WordCensus)."""
@@ -577,8 +578,7 @@ class LevelReport:
         return p - m
 
 
-@dataclass(frozen=True, slots=True)
-class RunResult:
+class RunResult(NamedTuple):
     pattern: Pattern
     max_ones: int
     levels: list[LevelReport]
@@ -588,15 +588,17 @@ class RunResult:
         return sum(rep.class_counts.get(PathKind.GAMMA.value, 0) for rep in self.levels)
 
 
-@dataclass(slots=True)
 class _LevelTally:
     """What the walk keeps of one level that its census cannot give: the
     copies it counted, as word -> [plus copies, minus copies], the number
     of them that are gamma, and the nodes the caller asked for."""
 
-    copies: dict[str, list[int]] = field(default_factory=dict)
-    gamma: int = 0
-    kept: list[TreeNode] = field(default_factory=list)
+    __slots__ = ("copies", "gamma", "kept")
+
+    def __init__(self) -> None:
+        self.copies: dict[str, list[int]] = {}
+        self.gamma = 0
+        self.kept: list[TreeNode] = []
 
 
 def _node_order(node: TreeNode) -> tuple[tuple[str, tuple[int, ...], int], tuple[str, ...]]:
@@ -774,6 +776,9 @@ def _run(pattern: Pattern, max_ones: int, keep: Callable[[str], bool] | None, *,
     return RunResult(pattern, max_ones, reports)
 
 
+_word = attrgetter("mw.word")
+
+
 def _check_binary(word: str) -> None:
     """Raise ValueError unless word is over 0/1: no tree copy carries any
     other word, and an empty answer would read as a word with no copy."""
@@ -792,7 +797,9 @@ def collect_copies(result: RunResult, word: str) -> list[TreeNode]:
     nodes = result.levels[level].nodes
     if nodes is None:
         raise ValueError("run_levels(..., keep_nodes=True) required for collect_copies")
-    return [nd for nd in nodes if nd.mw.word == word]
+    # nodes are in node order, so sorted by word: the word's copies are one block
+    lo = bisect_left(nodes, word, key=_word)
+    return list(nodes[lo : bisect_right(nodes, word, lo, key=_word)])
 
 
 def copies_of(pattern: Pattern, word: str, *, budget: int = DEFAULT_BUDGET) -> list[TreeNode]:

@@ -42,9 +42,9 @@ its automaton, whose size grows with j and not with the level.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .words import Pattern
 
@@ -68,8 +68,7 @@ class BudgetExceeded(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class FactorAutomaton:
+class FactorAutomaton(NamedTuple):
     """Match automaton for one factor: state = longest factor prefix that is
     a suffix of the input; the last state is absorbing (factor seen)."""
 

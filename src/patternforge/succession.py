@@ -27,7 +27,7 @@ expanded, so an atom costs the same whatever the length of its range.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = [
     "Affine",
@@ -59,8 +59,7 @@ class NegativeLabel(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Affine:
+class Affine(NamedTuple):
     """coeff*k + const"""
 
     coeff: int = 0
@@ -78,12 +77,11 @@ class Affine:
         return f"{head}{self.const:+d}"
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(NamedTuple):
     lo: Affine
     hi: Affine | None = None  # None: single label
     marked: bool = False
-    mult: Affine = field(default_factory=lambda: Affine(0, 1))
+    mult: Affine = Affine(0, 1)
 
     def labels(self, k: int) -> range:
         lo = self.lo(k)
@@ -99,14 +97,12 @@ class Atom:
         return m
 
 
-@dataclass(frozen=True, slots=True)
-class Production:
+class Production(NamedTuple):
     jump: int
     atoms: tuple[Atom, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class RuleSpec:
+class RuleSpec(NamedTuple):
     axiom: int
     productions: tuple[Production, ...]
 
@@ -262,8 +258,7 @@ def parse_rule(text: str) -> RuleSpec:
 # --- evaluation -------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class LevelCensus:
+class LevelCensus(NamedTuple):
     """label -> (plus count, minus count) for one level."""
 
     level: int
@@ -335,8 +330,7 @@ def _running_sum(edges: dict[int, int]) -> dict[int, int]:
     return counts
 
 
-@dataclass(frozen=True, slots=True)
-class CensusDiff:
+class CensusDiff(NamedTuple):
     equal: bool
     level: int | None = None
     label: int | None = None

@@ -8,7 +8,7 @@ so an oversized request is refused at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .construction import RunResult, run_levels
 from .oracle import DEFAULT_BUDGET, _check_levels, brute_force, count_avoiding
@@ -17,15 +17,13 @@ from .words import Pattern
 __all__ = ["LevelVerdict", "VerifyReport", "verify_pattern"]
 
 
-@dataclass(frozen=True, slots=True)
-class LevelVerdict:
+class LevelVerdict(NamedTuple):
     level: int
     ok: bool
     divergences: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     pattern: Pattern
     max_ones: int
     levels: list[LevelVerdict]

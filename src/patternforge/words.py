@@ -14,9 +14,9 @@ ordinate is written b throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, repeat
+from typing import NamedTuple
 
 __all__ = [
     "Pattern",
@@ -47,18 +47,26 @@ class InvariantViolation(Exception):
     the checks survive ``python -O``."""
 
 
-@dataclass(frozen=True, slots=True)
-class Pattern:
-    """The forbidden factor 1^j 0^i, 0 < i < j."""
-
+class _PatternFields(NamedTuple):
     j: int
     i: int
 
-    def __post_init__(self) -> None:
-        if not all(type(n) is int for n in (self.j, self.i)):
-            raise ValueError(f"j and i must be int, got j={self.j!r} i={self.i!r}")
-        if not 0 < self.i < self.j:
-            raise ValueError(f"need 0 < i < j, got j={self.j} i={self.i}")
+
+class Pattern(_PatternFields):
+    """The forbidden factor 1^j 0^i, 0 < i < j."""
+
+    __slots__ = ()
+
+    def __new__(cls, j: int, i: int) -> Pattern:
+        if not all(type(n) is int for n in (j, i)):
+            raise ValueError(f"j and i must be int, got j={j!r} i={i!r}")
+        if not 0 < i < j:
+            raise ValueError(f"need 0 < i < j, got j={j} i={i}")
+        return tuple.__new__(cls, (j, i))
+
+    @classmethod
+    def _make(cls, iterable) -> Pattern:
+        return cls(*iterable)  # so _replace checks as construction does
 
     @property
     def length(self) -> int:
@@ -69,15 +77,23 @@ class Pattern:
         return "1" * self.j + "0" * self.i
 
 
-@dataclass(frozen=True, slots=True)
-class MarkedWord:
-    """A word plus the start indices of its marked factor embeddings."""
-
+class _MarkedWordFields(NamedTuple):
     word: str
     spans: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "spans", tuple(sorted(self.spans)))
+
+class MarkedWord(_MarkedWordFields):
+    """A word plus the start indices of its marked factor embeddings,
+    sorted."""
+
+    __slots__ = ()
+
+    def __new__(cls, word: str, spans: tuple[int, ...] = ()) -> MarkedWord:
+        return tuple.__new__(cls, (word, tuple(sorted(spans))))
+
+    @classmethod
+    def _make(cls, iterable) -> MarkedWord:
+        return cls(*iterable)  # so _replace sorts as construction does
 
     def validate(self, pattern: Pattern) -> None:
         """Raise ValueError unless every span covers the factor and spans are disjoint."""
@@ -170,8 +186,7 @@ class PathKind(Enum):
     GAMMA = "gamma"
 
 
-@dataclass(frozen=True, slots=True)
-class PathClass:
+class PathClass(NamedTuple):
     kind: PathKind
     suffix_start: int = 0
     qualifying_span: int | None = None

@@ -107,8 +107,8 @@ class TestVerify:
     def test_broken_invariant_is_a_soundness_error(self, monkeypatch):
         real_cut = construction._cut
 
-        def cut_one_fall_too_low(word, spans, pattern, t0, state):
-            out, out_spans, *points = real_cut(word, spans, pattern, t0, state)
+        def cut_one_fall_too_low(word, spans, pattern, state):
+            out, out_spans, *points = real_cut(word, spans, pattern, state)
             return (out + "0", out_spans, *points)
 
         monkeypatch.setattr(construction, "_cut", cut_one_fall_too_low)
@@ -129,8 +129,8 @@ class TestVerify:
             "from patternforge import construction\n"
             "from patternforge.cli import main\n"
             "real_cut = construction._cut\n"
-            "def cut(word, spans, pattern, t0, state):\n"
-            "    out, out_spans, *points = real_cut(word, spans, pattern, t0, state)\n"
+            "def cut(word, spans, pattern, state):\n"
+            "    out, out_spans, *points = real_cut(word, spans, pattern, state)\n"
             "    return (out + '0', out_spans, *points)\n"
             "construction._cut = cut\n"
             "sys.exit(main(['verify', '--j', '2', '--i', '1', '--max-ones', '4']))\n"
@@ -148,8 +148,8 @@ class TestVerify:
         message = "internal soundness violation: parity -1 != sign of 0 spans in '0110'\n"
         real_cut = construction._cut
 
-        def cut_dropping_a_span(word, spans, pattern, t0, state):
-            out, out_spans, *points = real_cut(word, spans, pattern, t0, state)
+        def cut_dropping_a_span(word, spans, pattern, state):
+            out, out_spans, *points = real_cut(word, spans, pattern, state)
             return (out, out_spans[:-1], *points)
 
         monkeypatch.setattr(construction, "_cut", cut_dropping_a_span)
@@ -159,8 +159,8 @@ class TestVerify:
             "from patternforge import construction\n"
             "from patternforge.cli import main\n"
             "real_cut = construction._cut\n"
-            "def cut(word, spans, pattern, t0, state):\n"
-            "    out, out_spans, *points = real_cut(word, spans, pattern, t0, state)\n"
+            "def cut(word, spans, pattern, state):\n"
+            "    out, out_spans, *points = real_cut(word, spans, pattern, state)\n"
             "    return (out, out_spans[:-1], *points)\n"
             "construction._cut = cut\n"
             "sys.exit(main(['verify', '--j', '2', '--i', '1', '--max-ones', '4']))\n"

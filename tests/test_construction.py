@@ -5,7 +5,6 @@ from __future__ import annotations
 import re
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from itertools import accumulate, combinations, compress, product, repeat
 from operator import ge
 
@@ -42,7 +41,17 @@ from patternforge.construction import (
 from patternforge import construction
 from patternforge.census import WordCensus
 from patternforge.oracle import BudgetExceeded, brute_force, cluster_census
-from patternforge.words import MarkedWord, PathClass, PathKind, Pattern, classify, height, occurrences, profile
+from patternforge.words import (
+    MarkedWord,
+    PathClass,
+    PathKind,
+    Pattern,
+    classify,
+    height,
+    occurrences,
+    profile,
+    rightmost_suffix,
+)
 
 P21 = Pattern(2, 1)
 P31 = Pattern(3, 1)
@@ -596,8 +605,8 @@ class TestDepthFirstWalk:
             kept = tallies[level].kept
             node = kept[len(kept) // 2]
             chosen.append(node)
-            kept.insert(0, replace(node, provenance=node.provenance + ("~",)))  # lineage after the node's
-            kept.append(replace(node, provenance=()))  # lineage before it
+            kept.insert(0, node._replace(provenance=node.provenance + ("~",)))  # lineage after the node's
+            kept.append(node._replace(provenance=()))  # lineage before it
             return tallies, failure
 
         monkeypatch.setattr(construction, "_walk", walk_with_twins)
@@ -893,7 +902,7 @@ def move_geometry(monkeypatch, slope: int = 0, highest_first: bool = True) -> No
     monkeypatch.setattr(
         construction,
         "_cut",
-        lambda word, spans, pattern, t0, state: reference_cut(word, spans, pattern, t0, slope, highest_first),
+        lambda word, spans, pattern, state: reference_cut(word, spans, pattern, state[4], slope, highest_first),
     )
 
 
@@ -903,12 +912,14 @@ def scratch_state(word, spans, label, pattern):
     return construction._scan(MarkedWord(word, spans), label, pattern)
 
 
-def cut_state(word, spans, pattern, t0, carried):
-    """The state a cut from t0 must get: the suffix state read from scratch
-    from t0, with t0 and a false gamma flag when a production carries it
+def cut_state(word, spans, pattern, carried):
+    """The state a cut of a marked word must get: the suffix state read
+    from scratch from its rightmost eligible axis point t0, which it
+    carries, then a false gamma flag when a production carries it
     (cut_and_paste passes the suffix state alone)."""
+    t0 = rightmost_suffix(MarkedWord(word, spans), pattern)[2]
     state = construction._suffix_state(word, spans, t0, pattern)
-    return (*state, t0, False) if carried else state
+    return (*state, False) if carried else state
 
 
 class TestCarriedSuffixState:
@@ -933,13 +944,13 @@ class TestCarriedSuffixState:
                 differ.append(("state", word, spans, state))
             return real_expand(word, spans, label, parity, level, state, pattern, max_level)
 
-        def cut(word, spans, pattern, t0, state):
+        def cut(word, spans, pattern, state):
             seen["cut"] += 1
-            if state != cut_state(word, spans, pattern, t0, carried=True):
-                differ.append(("cut state", word, spans, t0, state))
-            got = real_cut(word, spans, pattern, t0, state)
-            if got != reference_cut(word, spans, pattern, t0):  # (out, spans, t, z, z ordinate)
-                differ.append(("cut", word, spans, t0))
+            if state != cut_state(word, spans, pattern, carried=True):
+                differ.append(("cut state", word, spans, state))
+            got = real_cut(word, spans, pattern, state)
+            if got != reference_cut(word, spans, pattern, state[4]):  # (out, spans, t, z, z ordinate)
+                differ.append(("cut", word, spans, state[4]))
             return got
 
         def ladder(word, spans, label, state, pattern):
@@ -984,11 +995,11 @@ class TestCarriedSuffixState:
         seen = Counter()
         differ = []
 
-        def cut(word, spans, pattern, t0, state):
+        def cut(word, spans, pattern, state):
             seen["cut"] += 1
-            if state != cut_state(word, spans, pattern, t0, carried=len(state) > 4):
-                differ.append(("cut", word, spans, t0, state))
-            return real_cut(word, spans, pattern, t0, state)
+            if state != cut_state(word, spans, pattern, carried=len(state) > 5):
+                differ.append(("cut", word, spans, state))
+            return real_cut(word, spans, pattern, state)
 
         def ladder(word, spans, label, state, pattern):
             seen["ladder"] += label > 0 and not state[5]  # DELTA_ABOVE
@@ -1060,6 +1071,26 @@ class TestCollectCopies:
             ((0, 3), 1),
             ((3,), -1),
         ]
+
+    @pytest.mark.parametrize("j,i,max_ones", [(2, 1, 6), (4, 1, 7)])
+    def test_equals_a_linear_filter_of_the_level(self, j, i, max_ones):
+        """The word's block of its level's nodes, the same node objects in
+        the same order as a scan of the whole level keeps them, for every
+        word of the run and for words with no copy: one fall more than
+        rises, sorting before, between and after the level's words."""
+        result = cached_run(j, i, max_ones, keep_nodes=True)
+        for n, rep in enumerate(result.levels):
+            scanned: dict[str, list[TreeNode]] = {}
+            for nd in rep.nodes:  # node order: a linear filter of each word at once
+                scanned.setdefault(nd.mw.word, []).append(nd)
+            half = n // 2
+            absent = ["0" * (n + 1) + "1" * n, "1" * half + "0" * (n + 1) + "1" * (n - half), "1" * n + "0" * (n + 1)]
+            for word in [*scanned, *absent]:
+                got = collect_copies(result, word)
+                want = scanned.get(word, [])
+                assert type(got) is list and len(got) == len(want), (n, word)
+                assert all(a is b for a, b in zip(got, want)), (n, word)
+            assert not any(word in scanned for word in absent)
 
     def test_a_word_past_the_run_is_refused(self):
         with pytest.raises(ValueError, match="word has 5 rises but the run stops at 4"):

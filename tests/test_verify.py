@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from patternforge import verify
@@ -34,8 +32,8 @@ class TestDivergences:
         survivors(those of the real run) instead."""
         result = run_levels(P21, 4)
         levels = list(result.levels)
-        levels[3] = replace(levels[3], survivors=survivors(levels[3].survivors))
-        return verify_pattern(P21, 4, result=replace(result, levels=levels))
+        levels[3] = levels[3]._replace(survivors=survivors(levels[3].survivors))
+        return verify_pattern(P21, 4, result=result._replace(levels=levels))
 
     def test_a_missing_survivor_is_named(self):
         report = self.with_level_3_survivors(lambda words: words[1:])
