@@ -34,19 +34,21 @@ z position, h, h*, t0, gamma).  t0 is the copy's append start, its
 endpoint when it ends on the axis and its suffix start otherwise, and
 phi runs from there; z is the highest (then leftmost) point of phi not
 strictly inside a span, h and h* its highest unmarked and marked peaks,
-and gamma says whether the copy is gamma.  That z is the cut's: t is such
-a point, so the highest of them is on or above the line through t.  A
-plain append extends its parent's state in O(1) (see _tail): the tail's
-one candidate z is the point right after the appended rise (jump 1) or
-the new span (jump j), and the old z wins a tie; a jump-1 tail with a
-fall adds an unmarked peak at k+1, a jump-j tail a marked peak at k+j;
-t0 and gamma pass on unchanged.  So a family's cuts take z from its state
-and the slack reads h and h* from its parent's, with no profile, and
-every check on t, z and the cut word still runs.  One state source serves
-every caller: the walk carries each copy's state on its stack, and what
-has none carried (the node API, compute_a, and a cut child above the
-axis, which the walk rescans) reads it from classify and one profile of
-its phi (_scan); cut_and_paste reads that profile alone (_suffix_state).
+and gamma says whether the copy is gamma.  That z is the cut's: t is
+such a point, so the highest of them is on or above the line through t.
+The one append step (_appends) builds a plain-append family and extends
+its parent's state to it in O(1): the tail's one candidate z is the
+point right after the appended rise (jump 1) or the new span (jump j),
+and the old z wins a tie; a jump-1 child below the top adds an unmarked
+peak at k+1, every jump-j child a marked peak at k+j; t0 and gamma pass
+on unchanged.  So a family's cuts take z from the state of its children
+below the top and the slack reads h and h* from its parent's, with no
+profile, and every check on t, z and the cut word still runs.  One state
+source serves every caller: the walk carries each copy's state on its
+stack, and what has none carried (the node API, compute_a, and a cut
+child above the axis, which the walk rescans) reads it from classify and
+one profile of its phi (_scan); cut_and_paste reads that profile alone
+(_suffix_state).
 
 Each plus/minus copy of a word corresponds to one subset of its factor
 occurrences; per level, net = plus - minus is 1 for avoiding words and 0
@@ -244,30 +246,6 @@ def _nodes(parent: TreeNode, level: int, kids: list[_Kid]) -> list[TreeNode]:
     ]
 
 
-def _tail(word: str, label: int, state: _State, pattern: Pattern, jump: int) -> tuple[_State, _State]:
-    """The states of a plain-append family of a copy with that state, as
-    (its top child's, every other child's).  The copy's state starts at its
-    append start t0, so the appended steps extend it.  Every child, and so
-    the family's grown words, shares one z.  The tail's one candidate z is
-    the point right after the appended rise (jump 1) or the new span (jump
-    j), and the old z wins a tie.  A jump-1 tail with a fall adds an
-    unmarked peak at k+1, a jump-j tail a marked peak at k+j.  t0 and the
-    gamma flag pass on as they are: a child above the axis starts its
-    suffix at the parent's append start and has the parent's class (a
-    label-0 parent is never gamma).  A label-0 child's state is never read:
-    it ends on the axis and is not expanded."""
-    zo, zp, h, hstar, t0, gamma = state
-    if jump == 1:
-        point = label + 1, len(word) + 1
-    else:
-        point = label + pattern.j - pattern.i, len(word) + pattern.length
-        hstar = label + pattern.j if hstar is None else max(hstar, label + pattern.j)
-    if point[0] > zo:
-        zo, zp = point
-    top = zo, zp, h, hstar, t0, gamma
-    return top, ((zo, zp, max(h, label + 1), hstar, t0, gamma) if jump == 1 else top)
-
-
 def _suffix_state(
     word: str, spans: tuple[int, ...], t0: int, pattern: Pattern
 ) -> tuple[int, int, int, int | None, int]:
@@ -304,22 +282,36 @@ def _appends(
     spans: tuple[int, ...],
     label: int,
     parity: int,
+    state: _State,
     pattern: Pattern,
     jump: int,
     tag: str,
-    family: tuple[_State, _State],
-) -> list[_Kid]:
+) -> tuple[list[_Kid], _State]:
     """Plain appends of one rise (jump 1) or the marked factor (jump j) and
-    then falls, one child per label from 0 up, each carrying its state from
-    family: the (top child's, other children's) states that _tail extends
-    from the copy's.  A new span peaks at k + j.  Every child is checked
-    against its label and its sign.
+    then falls, one child per label from 0 up, with the state of every
+    child below the top.  A new span peaks at k + j.  Every child is
+    checked against its label and its sign.
+
+    The copy's state starts at its append start t0, so the appended steps
+    extend it, and every child, and so the family's grown words, shares one
+    z.  The tail's one candidate z is the head's end at ordinate top, and
+    the old z wins a tie.  The fallen children of a jump-1 family add an
+    unmarked peak at k+1, and every child of a jump-j family a marked peak
+    at k+j.  t0 and the gamma flag pass on as they are: a child above the
+    axis starts its suffix at the parent's append start and has the
+    parent's class (a label-0 parent is never gamma).  A label-0 child's
+    state is never read: it ends on the axis and is not expanded.
     """
-    top_state, fallen = family
+    zo, zp, h, hstar, t0, gamma = state
     if jump == 1:
         head, top = word + "1", label + 1
     else:
         head, top, spans, parity = word + pattern.factor, label + pattern.j - pattern.i, spans + (len(word),), -parity
+        hstar = label + pattern.j if hstar is None else max(hstar, label + pattern.j)
+    if top > zo:
+        zo, zp = top, len(head)
+    top_state = zo, zp, h, hstar, t0, gamma
+    fallen = (zo, zp, max(h, top), hstar, t0, gamma) if jump == 1 else top_state
     sign = 1 if len(spans) % 2 == 0 else -1
     out = []
     for y, child_tag in enumerate(_tags(tag, top)):
@@ -329,7 +321,7 @@ def _appends(
         if parity != sign:
             raise _missigned(parity, spans, child)
         out.append((child, spans, y, parity, child_tag, fallen if y < top else top_state))
-    return out
+    return out, fallen
 
 
 @cache
@@ -433,12 +425,11 @@ def _jump1(
 ) -> list[_Kid]:
     if state[5]:
         raise NotDeltaError(_text(word, spans))
-    family = _tail(word, label, state, pattern, 1)
-    out = _appends(word, spans, label, parity, pattern, 1, "up", family)
+    out, fallen = _appends(word, spans, label, parity, state, pattern, 1, "up")
     grown = word + "1" + "0" * label
     t0 = state[4]  # rightmost eligible axis point of grown
     if spans and spans[-1] >= t0:
-        repaired, repaired_spans = _cut(grown, spans, pattern, family[1])[:2]
+        repaired, repaired_spans = _cut(grown, spans, pattern, fallen)[:2]
     else:
         # the suffix is span-free and above the axis; flipped, it returns
         # to the axis only at the new endpoint
@@ -462,14 +453,13 @@ def _jumpj(
     a, pin = _ladder(word, spans, label, state, pattern)
     k = label
     ji = pattern.j - pattern.i
-    family = _tail(word, label, state, pattern, pattern.j)
-    out = _appends(word, spans, label, parity, pattern, pattern.j, "mark", family)
+    out, fallen = _appends(word, spans, label, parity, state, pattern, pattern.j, "mark")
     head, marked = word + pattern.factor, spans + (len(word),)
     behind = len(word) + pattern.length
     parity = -parity
     for y in range(k + a, k + ji):
         grown = head + "0" * y
-        repaired, repaired_spans, t, z, z_ordinate = _cut(grown, marked, pattern, family[1])
+        repaired, repaired_spans, t, z, z_ordinate = _cut(grown, marked, pattern, fallen)
         if t != behind:
             raise InvariantViolation(f"t at {t}, not behind the new span, in {_text(grown, marked)}")
         if pin is None:
@@ -510,15 +500,14 @@ def _expand(
     per jump, and the walk's seam.  A gamma copy takes each row's plain
     appends, a delta copy its production.  A row whose level lies past
     max_level (None: no bound) is never built, so a jump-j family out of
-    range skips its cuts and its label multiset check.  The copy's state
-    passes on to every plain append (see _tail)."""
+    range skips its cuts and its label multiset check.  Every plain append
+    carries the copy's state as _appends extends it."""
     args = word, spans, label, parity
     groups = {}
     for jump, tag, production in (1, "up", _jump1), (pattern.j, "mark", _jumpj):
         if max_level is None or level + jump <= max_level:
             if state[5]:  # gamma
-                family = _tail(word, label, state, pattern, jump)
-                groups[level + jump] = _appends(*args, pattern, jump, "g" + tag, family)
+                groups[level + jump] = _appends(*args, state, pattern, jump, "g" + tag)[0]
             else:
                 groups[level + jump] = production(*args, state, pattern)
     return groups
@@ -630,7 +619,8 @@ def _walk(
     provided keep accepts every factor of a word it accepts.  The stack
     holds plain tuples (word, spans, label, parity, level, lineage, state),
     where a lineage is () at the root and otherwise the linked pair (parent
-    lineage, tag), and state is the copy's one record (see _tail).
+    lineage, tag), and state is the copy's one record, carried from its
+    parent's by _appends or read by _scan.
 
     A copy whose classification or expansion raises grows no subtree, and
     the walk goes on: it raises nothing the construction raises.  failure

@@ -107,8 +107,10 @@ def build_automaton(pattern: Pattern) -> FactorAutomaton:
 
 def _check_budget(ones: int, budget: int) -> None:
     """Raise BudgetExceeded when the candidate words of brute_force(ones),
-    C(ones+m, m) summed over the fall counts m <= ones, exceed budget."""
-    total = sum(comb(ones + m, m) for m in range(ones + 1))
+    C(ones+m, m) summed over the fall counts m <= ones, exceed budget.  By
+    the hockey-stick identity that sum is C(2 ones + 1, ones), and 0 (the
+    empty sum) for ones < 0."""
+    total = comb(2 * ones + 1, ones) if ones >= 0 else 0
     if total > budget:
         raise BudgetExceeded(f"{total} candidate words exceed budget {budget}")
 

@@ -252,6 +252,9 @@ class _Parser:
 
 
 def parse_rule(text: str) -> RuleSpec:
+    """The RuleSpec that text spells in the grammar of the module
+    docstring.  Raises RuleParseError, with the line and column of the
+    token at fault, on text the grammar does not accept."""
     return _Parser(text).rule()
 
 

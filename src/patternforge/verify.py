@@ -44,6 +44,17 @@ def verify_pattern(
     budget: int = DEFAULT_BUDGET,
     result: RunResult | None = None,
 ) -> VerifyReport:
+    """Check a run of the level engine to max_ones against the oracles.
+
+    Per level, the survivors must equal brute_force's avoiding words, in
+    order, and each label's net must equal count_avoiding's count for that
+    split of rises and falls; a label outside 0..level must have net 0.
+    Every mismatch is a divergence of its level's verdict.  result, when
+    given, is checked instead of a fresh run, and must be a run of this
+    pattern to max_ones (ValueError otherwise).  Raises
+    oracle.BudgetExceeded, before anything is built, when a level needs
+    more than `budget` candidate words.
+    """
     _check_levels(max_ones, budget)  # refuse before any tree is built
     if result is None:
         result = run_levels(pattern, max_ones, budget=budget)

@@ -102,9 +102,9 @@ def drop_last_mark_child(appends):
     """construction._appends without the last plain jump-j append of each
     delta node, so every jump-j family misses one label."""
 
-    def dropped(word, spans, label, parity, pattern, jump, tag, family):
-        kids = appends(word, spans, label, parity, pattern, jump, tag, family)
-        return kids[:-1] if tag == "mark" else kids
+    def dropped(word, spans, label, parity, state, pattern, jump, tag):
+        kids, fallen = appends(word, spans, label, parity, state, pattern, jump, tag)
+        return (kids[:-1] if tag == "mark" else kids), fallen
 
     return dropped
 

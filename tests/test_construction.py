@@ -924,14 +924,16 @@ def cut_state(word, spans, pattern, carried):
 
 class TestCarriedSuffixState:
     """Every production reads a copy's state (z, h, h*, append start t0,
-    gamma flag): the walk carries it on its stack (construction._tail),
-    and the node API and compute_a read it from classify and one profile
-    (construction._scan), cut_and_paste its suffix part alone.  Every state
-    must equal one read from scratch, every cut the reference scan's, and
-    every slack the one that a state read from scratch gives."""
+    gamma flag): the walk carries it on its stack, each plain append
+    extending its parent's (construction._appends), and the node API and
+    compute_a read it from classify and one profile (construction._scan),
+    cut_and_paste its suffix part alone.  Every state must equal one read
+    from scratch, every cut the reference scan's, and every slack the one
+    that a state read from scratch gives."""
 
     @pytest.mark.parametrize(
-        "j,i,max_ones", [(2, 1, 8), (3, 2, 8), (4, 3, 8), (3, 1, 6), (4, 1, 8), (4, 2, 8), (5, 2, 8)]
+        "j,i,max_ones",
+        [(2, 1, 8), (3, 2, 8), (4, 3, 8), (3, 1, 6), (4, 1, 8), (4, 2, 8), (5, 2, 8), (5, 1, 9), (6, 3, 8)],
     )
     def test_carried_states_cuts_and_slacks_equal_the_references(self, monkeypatch, j, i, max_ones):
         real_expand, real_cut, real_ladder = construction._expand, construction._cut, construction._ladder
